@@ -531,6 +531,46 @@ mod tests {
     }
 
     #[test]
+    fn out_of_range_annotation_is_a_counted_cold_start() {
+        let dir = scratch("range");
+        let cfg = tiny();
+        let telemetry = Telemetry::disabled();
+        let ws = representatives();
+        let cold = Runner::serial();
+        let curves = cold.sweep_all(&ws, &cfg);
+
+        // A snapshot whose checksums all hold but whose first record
+        // carries a class byte no operation class has: only the record
+        // codec can catch it.
+        let exported = cold.export_annotations();
+        let mut records: Vec<Vec<u8>> = exported
+            .iter()
+            .map(|(key, notes)| annotation_record(key, notes))
+            .collect();
+        // The class column follows the key and its own length prefix.
+        records[0][exported[0].0.to_record().len() + 4] = 200;
+        let store = RunStore::open(&dir, &cfg, &telemetry);
+        publish_records(&dir, &store.annotations_spec(), &records).expect("publish");
+        store.finish();
+
+        let mut store = RunStore::open(&dir, &cfg, &telemetry);
+        let seeds = store.load_annotations();
+        assert!(seeds.is_empty(), "the whole namespace degrades to cold");
+        let rerun = Runner::serial();
+        assert_eq!(rerun.seed_annotations(seeds), 0);
+        assert_eq!(rerun.sweep_all(&ws, &cfg), curves, "results unchanged");
+        assert_eq!(rerun.annotation_stats().misses, ws.len() as u64);
+        let stats = store.finish();
+        assert_eq!(
+            stats.invalid, 1,
+            "a bad column value is a counted rejection"
+        );
+        assert_eq!(stats.annotations_loaded, 0);
+
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn missing_store_is_a_quiet_cold_start() {
         let dir = scratch("missing");
         let mut store = RunStore::open(&dir, &tiny(), &Telemetry::disabled());

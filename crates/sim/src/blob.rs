@@ -18,10 +18,12 @@
 //! Any change to these field lists must bump the consuming namespace's
 //! `schema_version` so older snapshots self-invalidate to a cold start.
 
-use crate::annotate::{AnnotatedTrace, AnnotationKey};
+use crate::annotate::{AnnotatedTrace, AnnotationKey, FLAG_MEM, FLAG_SERIAL, NO_REG};
 use crate::config::{CacheConfig, Features, IssuePolicy, PredictorConfig, SimConfig, StagePlan};
 use crate::report::SimReport;
+use crate::stage::REG_SLOTS;
 use pipedepth_store::{Blob, ByteReader, ByteWriter, DecodeError};
+use pipedepth_trace::isa::OpClass;
 
 impl Blob for CacheConfig {
     fn encode(&self, w: &mut ByteWriter) {
@@ -221,40 +223,98 @@ impl Blob for AnnotatedTrace {
     }
 
     fn decode(r: &mut ByteReader<'_>) -> Result<Self, DecodeError> {
-        let classes = r.take_bytes()?.to_vec();
-        let flags = r.take_bytes()?.to_vec();
-        let dst = r.take_bytes()?.to_vec();
-        let src_flat = r.take_bytes()?;
-        if src_flat.len() % 2 != 0 {
-            return Err(DecodeError::Invalid("src column length"));
+        // Every column is range-checked while it is copied, so a record
+        // whose checksums hold but whose values the replay kernel cannot
+        // index is rejected here rather than panicking a sweep later.
+        let class_bytes = r.take_bytes()?;
+        let n = class_bytes.len();
+        let mut notes = AnnotatedTrace {
+            classes: vec![0; n],
+            flags: vec![0; n],
+            dst: vec![0; n],
+            src: vec![[0; 2]; n],
+            fetch: vec![0; n],
+            data: vec![0; n],
+            branch: vec![0; n],
+        };
+        copy_checked(&mut notes.classes, class_bytes, "annotation class", |c| {
+            (c as usize) < OpClass::ALL.len()
+        })?;
+        copy_checked(&mut notes.flags, r.take_bytes()?, "annotation flags", |f| {
+            f & !(FLAG_SERIAL | FLAG_MEM) == 0
+        })?;
+        copy_checked(
+            &mut notes.dst,
+            r.take_bytes()?,
+            "annotation register",
+            reg_in_range,
+        )?;
+        // `src` is two flat register slots per instruction.
+        copy_checked(
+            notes.src.as_flattened_mut(),
+            r.take_bytes()?,
+            "annotation register",
+            reg_in_range,
+        )?;
+        copy_checked(
+            &mut notes.fetch,
+            r.take_bytes()?,
+            "annotation fetch class",
+            |f| f <= 3,
+        )?;
+        // A data class is present exactly on the instructions flagged as
+        // carrying a memory operand.
+        let data = r.take_bytes()?;
+        if data.len() != n {
+            return Err(DecodeError::Invalid(COLUMN_LENGTHS));
         }
-        let src: Vec<[u8; 2]> = src_flat.chunks_exact(2).map(|c| [c[0], c[1]]).collect();
-        let fetch = r.take_bytes()?.to_vec();
-        let data = r.take_bytes()?.to_vec();
-        let branch = r.take_bytes()?.to_vec();
-        let n = classes.len();
-        if [
-            flags.len(),
-            dst.len(),
-            src.len(),
-            fetch.len(),
-            data.len(),
-            branch.len(),
-        ]
-        .iter()
-        .any(|&len| len != n)
-        {
-            return Err(DecodeError::Invalid("annotation column lengths"));
+        let mut valid = true;
+        for ((slot, &d), &f) in notes.data.iter_mut().zip(data).zip(&notes.flags) {
+            *slot = d;
+            valid &= (d <= 3) & ((d != 0) == (f & FLAG_MEM != 0));
         }
-        Ok(AnnotatedTrace {
-            classes,
-            flags,
-            dst,
-            src,
-            fetch,
-            data,
-            branch,
-        })
+        if !valid {
+            return Err(DecodeError::Invalid("annotation data class"));
+        }
+        copy_checked(
+            &mut notes.branch,
+            r.take_bytes()?,
+            "annotation branch outcome",
+            |b| b <= 2,
+        )?;
+        Ok(notes)
+    }
+}
+
+/// The rejection reason for annotation columns of unequal length.
+const COLUMN_LENGTHS: &str = "annotation column lengths";
+
+/// A register-slot byte the scoreboard can index, or the absent marker.
+fn reg_in_range(slot: u8) -> bool {
+    (slot as usize) < REG_SLOTS || slot == NO_REG
+}
+
+/// Copies `bytes` into the equally long `column`, checking every byte
+/// against `in_range` in the same loop; `what` names the column on
+/// rejection.
+fn copy_checked(
+    column: &mut [u8],
+    bytes: &[u8],
+    what: &'static str,
+    in_range: impl Fn(u8) -> bool,
+) -> Result<(), DecodeError> {
+    if bytes.len() != column.len() {
+        return Err(DecodeError::Invalid(COLUMN_LENGTHS));
+    }
+    let mut valid = true;
+    for (slot, &b) in column.iter_mut().zip(bytes) {
+        *slot = b;
+        valid &= in_range(b);
+    }
+    if valid {
+        Ok(())
+    } else {
+        Err(DecodeError::Invalid(what))
     }
 }
 
@@ -330,5 +390,49 @@ mod tests {
             AnnotatedTrace::from_record(&short),
             Err(DecodeError::Invalid("annotation column lengths"))
         );
+    }
+
+    #[test]
+    fn out_of_range_column_values_are_rejected() {
+        let cfg = SimConfig::paper(8);
+        let trace = TraceGenerator::new(WorkloadModel::spec_int_like(), 3).take_vec(500);
+        let notes = annotate(&trace, cfg.cache, cfg.predictor).expect("valid config");
+        let mem = notes.flags.iter().position(|&f| f & FLAG_MEM != 0);
+        let mem = mem.expect("the trace has a memory op");
+        let plain = notes.flags.iter().position(|&f| f & FLAG_MEM == 0);
+        let plain = plain.expect("the trace has a non-memory op");
+        // One out-of-range value per column, each of which would index
+        // out of bounds or underflow in the replay kernel.
+        type Corruption = Box<dyn Fn(&mut AnnotatedTrace)>;
+        let cases: Vec<(&str, Corruption)> = vec![
+            ("annotation class", Box::new(|t| t.classes[0] = 200)),
+            (
+                "annotation class",
+                Box::new(|t| t.classes[0] = OpClass::ALL.len() as u8),
+            ),
+            ("annotation flags", Box::new(|t| t.flags[0] |= 4)),
+            (
+                "annotation register",
+                Box::new(|t| t.dst[0] = REG_SLOTS as u8),
+            ),
+            ("annotation register", Box::new(|t| t.src[0][1] = 40)),
+            ("annotation fetch class", Box::new(|t| t.fetch[0] = 4)),
+            ("annotation data class", Box::new(move |t| t.data[mem] = 4)),
+            ("annotation data class", Box::new(move |t| t.data[mem] = 0)),
+            (
+                "annotation data class",
+                Box::new(move |t| t.data[plain] = 1),
+            ),
+            ("annotation branch outcome", Box::new(|t| t.branch[0] = 3)),
+        ];
+        for (what, corrupt) in cases {
+            let mut bad = notes.clone();
+            corrupt(&mut bad);
+            assert_eq!(
+                AnnotatedTrace::from_record(&bad.to_record()),
+                Err(DecodeError::Invalid(what)),
+                "{what}"
+            );
+        }
     }
 }

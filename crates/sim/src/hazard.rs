@@ -65,11 +65,18 @@ impl HazardStats {
     /// Zero-cycle episodes are ignored — a constraint that did not delay
     /// anything is not a hazard.
     pub fn record(&mut self, kind: HazardKind, cycles: u64) {
+        self.record_repeated(kind, 1, cycles);
+    }
+
+    /// Records `episodes` hazard episodes of `kind`, each stalling for
+    /// `cycles` — the same totals as that many [`record`](Self::record)
+    /// calls, zero-cycle suppression included.
+    pub(crate) fn record_repeated(&mut self, kind: HazardKind, episodes: u64, cycles: u64) {
         if cycles == 0 {
             return;
         }
-        self.events[kind as usize] += 1;
-        self.stall_cycles[kind as usize] += cycles;
+        self.events[kind as usize] += episodes;
+        self.stall_cycles[kind as usize] += episodes * cycles;
     }
 
     /// Number of hazard episodes of `kind`.

@@ -11,23 +11,36 @@
 //! D independent engine passes, each re-running the cache and predictor
 //! models.
 //!
-//! Each `Lane` is the timing-only residue of one [`crate::Engine`]:
-//! four ports, the issue ring, a flat 32-slot scoreboard and a handful of
-//! scalars (≈ half a kilobyte), so a full 24-lane sweep's mutable state
-//! stays cache-resident while the annotation streams through. Exactness is
-//! the contract: every port acquisition and every hazard record happens in
-//! the precise order of the stage engine, and the differential suite
-//! (`sim/tests/replay_equivalence.rs`) pins the resulting [`SimReport`]s
-//! bit-identical to [`crate::Engine`]'s.
+//! Statistics that depend only on the annotation are not a lane's
+//! business. Cache accesses and misses, branches and mispredicts,
+//! serialised ops, per-unit activity, and the fetch-miss memory waits and
+//! hazards are integer sums of per-class counts times per-lane constants
+//! (a miss penalty, the hazard cap, a stage latency). A `WindowCounts`
+//! tallies the measured window's classes once per sweep, and each lane's
+//! values are multiplied out from it when its report is assembled.
+//!
+//! Each `Lane` therefore holds only timing state: four ports, the issue
+//! ring, a flat 32-slot scoreboard, a handful of scalars, the hazards its
+//! own stalls and redirects record, and the latency table its step reads.
+//! A full 24-lane sweep's mutable state stays cache-resident while the
+//! annotation streams through. The step is inlined into the sweep loop
+//! and its ports grant without branches, so consecutive lanes'
+//! independent steps overlap in the CPU.
+//!
+//! Exactness is the contract: every port acquisition and every hazard
+//! record happens in the precise order of the stage engine, and the
+//! differential suite (`sim/tests/replay_equivalence.rs`) pins the
+//! resulting [`SimReport`]s bit-identical to [`crate::Engine`]'s.
 
 use crate::annotate::{AnnotatedTrace, FLAG_MEM, FLAG_SERIAL, NO_REG};
 use crate::config::{ConfigError, IssuePolicy, SimConfig, StagePlan, Unit};
 use crate::engine::metric_names;
 use crate::hazard::{HazardKind, HazardStats};
 use crate::report::SimReport;
-use crate::stage::{IssueRing, Port, Tables, WriterKind, REG_SLOTS};
+use crate::stage::{IssueRing, Tables, WriterKind, REG_SLOTS};
 use pipedepth_telemetry::Telemetry;
 use pipedepth_trace::isa::OpClass;
+use std::ops::Range;
 
 /// One instruction's note, decoded from the annotation columns once per
 /// position and shared by every lane.
@@ -65,120 +78,217 @@ impl AnnotatedTrace {
     }
 }
 
+/// The depth-invariant statistics of one measured window, counted once
+/// per sweep. Each array is indexed by the annotation column's own
+/// encoding (`0` = no event, then the level + 1 or the branch outcome),
+/// so a miss class's count lines up with `Tables::miss_penalty[class - 1]`.
+#[derive(Debug, Clone, Copy, Default)]
+struct WindowCounts {
+    instructions: u64,
+    /// Instructions per `fetch` class.
+    fetch: [u64; 4],
+    /// Stores per `data` class: they touch the hierarchy but never wait
+    /// for it.
+    stores: [u64; 4],
+    /// Every other instruction per `data` class (`0` = no memory operand).
+    non_stores: [u64; 4],
+    /// Instructions per `branch` outcome.
+    branch: [u64; 3],
+    serialized: u64,
+}
+
+impl WindowCounts {
+    fn count(notes: &AnnotatedTrace, window: Range<usize>) -> WindowCounts {
+        let mut c = WindowCounts {
+            instructions: window.len() as u64,
+            ..WindowCounts::default()
+        };
+        for i in window {
+            c.fetch[notes.fetch[i] as usize] += 1;
+            let data = notes.data[i] as usize;
+            if notes.classes[i] == OpClass::Store as u8 {
+                c.stores[data] += 1;
+            } else {
+                c.non_stores[data] += 1;
+            }
+            c.branch[notes.branch[i] as usize] += 1;
+            c.serialized += u64::from(notes.flags[i] & FLAG_SERIAL != 0);
+        }
+        c
+    }
+
+    fn branches(&self) -> u64 {
+        self.branch[1] + self.branch[2]
+    }
+
+    fn mispredicts(&self) -> u64 {
+        self.branch[2]
+    }
+
+    /// Data accesses per `data` class, stores included.
+    fn data(&self, class: usize) -> u64 {
+        self.stores[class] + self.non_stores[class]
+    }
+
+    fn memory_ops(&self) -> u64 {
+        (1..4).map(|class| self.data(class)).sum()
+    }
+
+    /// `(accesses, misses)` for the l1d, l1i and l2 levels. A class-2 or
+    /// class-3 access missed L1 and went to L2; class 3 missed L2 too.
+    fn cache(&self) -> [(u64, u64); 3] {
+        let [_, f1, f2, f3] = self.fetch;
+        let (d1, d2, d3) = (self.data(1), self.data(2), self.data(3));
+        [
+            (d1 + d2 + d3, d2 + d3),
+            (f1 + f2 + f3, f2 + f3),
+            (f2 + f3 + d2 + d3, f3 + d3),
+        ]
+    }
+
+    /// Cycles the front end stalls on fetch misses under `tables`.
+    fn fetch_stall_cycles(&self, tables: &Tables) -> u64 {
+        miss_cycles(&self.fetch, tables)
+    }
+
+    /// Cycles spent waiting on miss latency under `tables`: every fetch
+    /// miss, plus every data miss an instruction other than a store waits
+    /// for.
+    fn memory_wait_cycles(&self, tables: &Tables) -> u64 {
+        self.fetch_stall_cycles(tables) + miss_cycles(&self.non_stores, tables)
+    }
+}
+
+/// `Σ count × penalty` over the three access classes of one column.
+fn miss_cycles(per_class: &[u64; 4], tables: &Tables) -> u64 {
+    per_class[1..]
+        .iter()
+        .zip(&tables.miss_penalty)
+        .map(|(n, penalty)| n * penalty)
+        .sum()
+}
+
+/// One port of a lane: the in-order, width-limited grants of
+/// [`crate::stage::Port`], computed with selects instead of branches.
+/// Whether a grant opens a new cycle depends on timing, which the branch
+/// predictor cannot learn across interleaved lanes; the selects keep the
+/// batched loop free of those mispredictions.
+#[derive(Debug, Clone, Copy)]
+struct LanePort {
+    width: u32,
+    cycle: u64,
+    used: u32,
+}
+
+impl LanePort {
+    fn new(width: u32) -> LanePort {
+        LanePort {
+            width,
+            cycle: 0,
+            used: 0,
+        }
+    }
+
+    /// The earliest cycle ≥ `at` with a free slot; grants never go back.
+    #[inline(always)]
+    fn acquire(&mut self, at: u64) -> u64 {
+        let fresh = at > self.cycle;
+        let full = self.used >= self.width;
+        self.cycle = if fresh {
+            at
+        } else {
+            self.cycle + u64::from(full)
+        };
+        self.used = if fresh | full { 1 } else { self.used + 1 };
+        self.cycle
+    }
+
+    /// Exhausts the current cycle, so the next grant opens a new one.
+    fn close_cycle(&mut self) {
+        self.used = self.width;
+    }
+}
+
 /// The timing-only state of one depth configuration: the residue of an
-/// [`crate::Engine`] once the cache arrays, predictor table and trace
-/// decoding are factored out into the annotation.
+/// [`crate::Engine`] once the cache arrays, predictor table, trace
+/// decoding and every depth-invariant statistic are factored out.
 #[derive(Debug, Clone)]
 struct Lane {
-    config: SimConfig,
-    plan: StagePlan,
     tables: Tables,
     in_order: bool,
     forwarding: bool,
     stall_on_use: bool,
 
     // Front end.
-    decode_port: Port,
+    decode_port: LanePort,
     redirect_at: u64,
     last_decode: u64,
     // Scoreboard.
     reg_ready: [u64; REG_SLOTS],
     reg_writer: [WriterKind; REG_SLOTS],
     // Issue.
-    issue_port: Port,
+    issue_port: LanePort,
     ring: IssueRing,
     last_issue: u64,
     last_issue_cycle_seen: Option<u64>,
     // Exec core.
-    cache_port: Port,
-    retire_port: Port,
+    cache_port: LanePort,
+    retire_port: LanePort,
     fp_busy_until: u64,
     last_retire: u64,
     finish_cycle: u64,
 
-    // Window statistics (zeroed at the warmup boundary).
+    // Window statistics that depend on timing (zeroed at the warmup
+    // boundary): the issue-stall and control hazards, and the distinct
+    // issue cycles.
     stats_base_cycle: u64,
-    instructions: u64,
-    activity: [u64; Unit::ALL.len()],
     hazards: HazardStats,
-    memory_wait: u64,
-    fetch_stall_cycles: u64,
-    branches: u64,
-    mispredicts: u64,
-    serialized: u64,
     distinct: u64,
-    /// `(accesses, misses)` for the l1d, l1i, l2 levels.
-    cache: [(u64, u64); 3],
 }
 
 impl Lane {
-    fn new(config: SimConfig) -> Result<Lane, ConfigError> {
-        config.validate()?;
-        let plan = StagePlan::try_for_depth(config.depth)?;
-        let tables = Tables::new(&config, &plan);
-        Ok(Lane {
+    fn new(config: &SimConfig, plan: &StagePlan) -> Lane {
+        let tables = Tables::new(config, plan);
+        Lane {
             in_order: match config.features.issue {
                 IssuePolicy::InOrder => true,
                 IssuePolicy::OutOfOrder => false,
             },
             forwarding: config.features.forwarding,
             stall_on_use: config.features.stall_on_use,
-            decode_port: Port::new(config.width),
+            decode_port: LanePort::new(config.width),
             redirect_at: 0,
             last_decode: 0,
             reg_ready: [0; REG_SLOTS],
             reg_writer: [WriterKind::Normal; REG_SLOTS],
-            issue_port: Port::new(config.width),
+            issue_port: LanePort::new(config.width),
             ring: IssueRing::new(tables.queue_capacity),
             last_issue: 0,
             last_issue_cycle_seen: None,
-            cache_port: Port::new(config.cache_ports),
-            retire_port: Port::new(config.width),
+            cache_port: LanePort::new(config.cache_ports),
+            retire_port: LanePort::new(config.width),
             fp_busy_until: 0,
             last_retire: 0,
             finish_cycle: 0,
             stats_base_cycle: 0,
-            instructions: 0,
-            activity: [0; Unit::ALL.len()],
             hazards: HazardStats::new(),
-            memory_wait: 0,
-            fetch_stall_cycles: 0,
-            branches: 0,
-            mispredicts: 0,
-            serialized: 0,
             distinct: 0,
-            cache: [(0, 0); 3],
-            config,
-            plan,
             tables,
-        })
+        }
     }
 
     /// Advances this lane through one annotated instruction, in exactly
-    /// the stage engine's operation order.
+    /// the stage engine's operation order. Inlined into the sweep loop,
+    /// where it runs once per lane per instruction.
+    #[inline(always)]
     fn step(&mut self, n: &Note) {
-        let tables = self.tables;
+        let tables = &self.tables;
 
         // ---- Front end: fetch + decode --------------------------------
         let queue_floor = self.ring.floor();
         let mut decode_req = self.last_decode.max(self.redirect_at).max(queue_floor);
         if n.fetch != 0 {
-            self.cache[1].0 += 1;
-            if n.fetch >= 2 {
-                self.cache[1].1 += 1;
-                self.cache[2].0 += 1;
-            }
-            if n.fetch == 3 {
-                self.cache[2].1 += 1;
-            }
-            let fetch_extra = tables.miss_penalty[(n.fetch - 1) as usize];
-            if fetch_extra > 0 {
-                self.hazards
-                    .record(HazardKind::Memory, fetch_extra.min(tables.hazard_cap));
-                self.memory_wait += fetch_extra;
-                self.fetch_stall_cycles += fetch_extra;
-                decode_req += fetch_extra;
-            }
+            decode_req += tables.miss_penalty[(n.fetch - 1) as usize];
         }
         let decode_cycle = self.decode_port.acquire(decode_req);
         self.last_decode = decode_cycle;
@@ -193,12 +303,12 @@ impl Lane {
             }
             let slot = s as usize;
             let at = self.reg_ready[slot];
-            if at > src_ready {
-                src_ready = at;
-                src_writer = self.reg_writer[slot];
-            } else if at == src_ready && self.reg_writer[slot] == WriterKind::Miss {
-                src_writer = WriterKind::Miss;
+            let writer = self.reg_writer[slot];
+            // The later producer names the writer; on a tie, a miss wins.
+            if at > src_ready || (at == src_ready && writer == WriterKind::Miss) {
+                src_writer = writer;
             }
+            src_ready = src_ready.max(at);
         }
 
         // ---- RX address/cache segment ---------------------------------
@@ -207,14 +317,6 @@ impl Lane {
         let mut miss_extra = 0u64;
         if n.has_mem {
             let agen_done = decode_done.max(src_ready) + tables.agen;
-            self.cache[0].0 += 1;
-            if n.data >= 2 {
-                self.cache[0].1 += 1;
-                self.cache[2].0 += 1;
-            }
-            if n.data == 3 {
-                self.cache[2].1 += 1;
-            }
             if n.class == OpClass::Store {
                 data_ready = agen_done;
                 pipe_ready = agen_done;
@@ -232,10 +334,6 @@ impl Lane {
         if n.class == OpClass::AluRx {
             pipe_ready = data_ready;
         }
-        if n.has_mem {
-            self.activity[Unit::Agen as usize] += tables.agen;
-            self.activity[Unit::Cache as usize] += tables.cache;
-        }
 
         // ---- Issue to the E-unit (in order, width-limited) ------------
         let queue_ready = if n.is_mem { pipe_ready } else { decode_done };
@@ -245,7 +343,6 @@ impl Lane {
         if n.serial {
             base = base.max(self.last_issue + 1);
             self.issue_port.close_cycle();
-            self.serialized += 1;
         }
         let prev_issue = self.last_issue;
         let at = self.issue_port.acquire(base);
@@ -254,10 +351,8 @@ impl Lane {
         }
         self.last_issue = at;
         self.ring.push(at);
-        if self.last_issue_cycle_seen != Some(at) {
-            self.distinct += 1;
-            self.last_issue_cycle_seen = Some(at);
-        }
+        self.distinct += u64::from(self.last_issue_cycle_seen != Some(at));
+        self.last_issue_cycle_seen = Some(at);
 
         // ---- Hazard attribution ---------------------------------------
         let transit = decode_done
@@ -293,7 +388,6 @@ impl Lane {
                 self.hazards.record(kind, gamma_stall);
             }
         }
-        self.memory_wait += miss_extra;
 
         // ---- Execute + writeback --------------------------------------
         let exec_done = at + tables.execute + tables.exec_extra[n.class as usize];
@@ -315,19 +409,14 @@ impl Lane {
             self.reg_ready[n.dst as usize] = ready_at;
             self.reg_writer[n.dst as usize] = writer;
         }
-        self.activity[Unit::Execute as usize] += tables.execute;
 
         // ---- Branch resolution ----------------------------------------
-        if n.branch != 0 {
-            self.branches += 1;
-            if n.branch == 2 {
-                self.mispredicts += 1;
-                let resume = exec_done + 1;
-                let refill = resume.saturating_sub(decode_cycle + 1);
-                self.hazards
-                    .record(HazardKind::Control, refill.min(tables.hazard_cap));
-                self.redirect_at = resume;
-            }
+        if n.branch == 2 {
+            let resume = exec_done + 1;
+            let refill = resume.saturating_sub(decode_cycle + 1);
+            self.hazards
+                .record(HazardKind::Control, refill.min(tables.hazard_cap));
+            self.redirect_at = resume;
         }
 
         // ---- Completion / retire --------------------------------------
@@ -336,31 +425,38 @@ impl Lane {
             .acquire((exec_done + tables.complete).max(self.last_retire));
         self.last_retire = retire;
         self.finish_cycle = self.finish_cycle.max(retire);
-        self.activity[Unit::Decode as usize] += tables.decode;
-        self.activity[Unit::Complete as usize] += tables.complete;
-        self.instructions += 1;
     }
 
     /// Opens a fresh measurement window at the warmup boundary: zeroes
-    /// every statistic while keeping all timing state (ports, scoreboard,
-    /// redirect, FP occupancy, decoupling window) intact — the mirror of
-    /// [`crate::Engine::reset_stats`].
+    /// the lane's statistics while keeping all timing state (ports,
+    /// scoreboard, redirect, FP occupancy, decoupling window) intact — the
+    /// mirror of [`crate::Engine::reset_stats`].
     fn reset_stats(&mut self) {
-        self.instructions = 0;
-        self.activity = [0; Unit::ALL.len()];
         self.stats_base_cycle = self.finish_cycle;
         self.hazards = HazardStats::new();
-        self.memory_wait = 0;
-        self.fetch_stall_cycles = 0;
-        self.branches = 0;
-        self.mispredicts = 0;
-        self.serialized = 0;
         self.distinct = 0;
         self.last_issue_cycle_seen = None;
-        self.cache = [(0, 0); 3];
     }
 
-    fn report(&self) -> SimReport {
+    /// The lane's report over a window whose depth-invariant statistics
+    /// are `window`: the lane's own timing results plus every per-sweep
+    /// count multiplied out by this lane's latencies.
+    fn report(&self, config: SimConfig, plan: StagePlan, window: &WindowCounts) -> SimReport {
+        let tables = &self.tables;
+        let mut hazards = self.hazards.clone();
+        // Each counted fetch of a class is one memory-hazard episode of
+        // that class's capped penalty; a free class records none.
+        for (&fetches, &penalty) in window.fetch[1..].iter().zip(&tables.miss_penalty) {
+            hazards.record_repeated(HazardKind::Memory, fetches, penalty.min(tables.hazard_cap));
+        }
+        let memory_ops = window.memory_ops();
+        let activity = Unit::ALL.map(|unit| match unit {
+            Unit::Decode => window.instructions * tables.decode,
+            Unit::Agen => memory_ops * tables.agen,
+            Unit::Cache => memory_ops * tables.cache,
+            Unit::Execute => window.instructions * tables.execute,
+            Unit::Complete => window.instructions * tables.complete,
+        });
         let rate = |(accesses, misses): (u64, u64)| {
             if accesses == 0 {
                 0.0
@@ -368,20 +464,21 @@ impl Lane {
                 misses as f64 / accesses as f64
             }
         };
+        let cache = window.cache();
         SimReport::gather(
-            self.config,
-            self.plan,
-            self.instructions,
+            config,
+            plan,
+            window.instructions,
             self.finish_cycle.saturating_sub(self.stats_base_cycle),
             self.distinct,
-            &self.activity,
-            self.hazards.clone(),
-            self.branches,
-            self.mispredicts,
-            rate(self.cache[0]),
-            rate(self.cache[2]),
-            rate(self.cache[1]),
-            self.memory_wait,
+            &activity,
+            hazards,
+            window.branches(),
+            window.mispredicts(),
+            rate(cache[0]),
+            rate(cache[2]),
+            rate(cache[1]),
+            window.memory_wait_cycles(tables),
         )
     }
 }
@@ -412,22 +509,22 @@ pub fn replay_sweep(
     instructions: u64,
     telemetry: &Telemetry,
 ) -> Result<Vec<SimReport>, ConfigError> {
-    let mut lanes = configs
-        .iter()
-        .map(|&config| Lane::new(config))
-        .collect::<Result<Vec<_>, _>>()?;
+    let mut plans = Vec::with_capacity(configs.len());
+    let mut lanes = Vec::with_capacity(configs.len());
+    for config in configs {
+        config.validate()?;
+        let plan = StagePlan::try_for_depth(config.depth)?;
+        lanes.push(Lane::new(config, &plan));
+        plans.push(plan);
+    }
 
     let split = usize::try_from(warmup)
         .unwrap_or(usize::MAX)
         .min(notes.len());
-    for i in 0..split {
-        let n = notes.note(i);
-        for lane in &mut lanes {
-            lane.step(&n);
-        }
-    }
-    let warmed: u64 = lanes.iter().map(|l| l.instructions).sum();
-    telemetry.counter("sim.warmup_instructions").add(warmed);
+    advance(&mut lanes, notes, 0..split);
+    telemetry
+        .counter("sim.warmup_instructions")
+        .add(split as u64 * lanes.len() as u64);
     for lane in &mut lanes {
         lane.reset_stats();
     }
@@ -435,14 +532,27 @@ pub fn replay_sweep(
     let measured = usize::try_from(instructions)
         .unwrap_or(usize::MAX)
         .min(notes.len() - split);
-    for i in split..split + measured {
+    let window = split..split + measured;
+    advance(&mut lanes, notes, window.clone());
+    let counts = WindowCounts::count(notes, window);
+    let reports: Vec<SimReport> = lanes
+        .iter()
+        .zip(configs.iter().zip(plans))
+        .map(|(lane, (&config, plan))| lane.report(config, plan, &counts))
+        .collect();
+    flush_telemetry(&reports, &lanes, &counts, telemetry);
+    Ok(reports)
+}
+
+/// Advances every lane through the notes in `range`, decoding each note
+/// once and stepping the lanes through it in turn.
+fn advance(lanes: &mut [Lane], notes: &AnnotatedTrace, range: Range<usize>) {
+    for i in range {
         let n = notes.note(i);
-        for lane in &mut lanes {
+        for lane in lanes.iter_mut() {
             lane.step(&n);
         }
     }
-    flush_telemetry(&lanes, telemetry);
-    Ok(lanes.iter().map(Lane::report).collect())
 }
 
 /// Replays an annotation against one configuration — the single-depth
@@ -470,42 +580,55 @@ pub fn replay(
 }
 
 /// Flushes the lanes' summed window statistics into the same static-name
-/// `sim.*` counters the engine flushes, once per replay pass.
-fn flush_telemetry(lanes: &[Lane], telemetry: &Telemetry) {
+/// `sim.*` counters the engine flushes, once per replay pass. Lane-invariant
+/// counts are the window's counts times the lane count; the rest sum the
+/// lanes' reports and latency tables.
+fn flush_telemetry(
+    reports: &[SimReport],
+    lanes: &[Lane],
+    window: &WindowCounts,
+    telemetry: &Telemetry,
+) {
     if !telemetry.is_enabled() {
         return;
     }
-    let sum = |f: &dyn Fn(&Lane) -> u64| lanes.iter().map(f).sum::<u64>();
+    let sum = |f: &dyn Fn(&SimReport) -> u64| reports.iter().map(f).sum::<u64>();
+    let per_lane = |count: u64| count * lanes.len() as u64;
     let t = telemetry;
-    t.counter("sim.instructions").add(sum(&|l| l.instructions));
+    t.counter("sim.instructions")
+        .add(per_lane(window.instructions));
     for (i, &kind) in HazardKind::ALL.iter().enumerate() {
         t.counter(metric_names::HAZARD_EVENTS[i])
-            .add(sum(&|l| l.hazards.events(kind)));
+            .add(sum(&|r| r.hazards.events(kind)));
         t.counter(metric_names::HAZARD_STALL_CYCLES[i])
-            .add(sum(&|l| l.hazards.stall_cycles(kind)));
+            .add(sum(&|r| r.hazards.stall_cycles(kind)));
     }
-    t.counter("sim.stage.frontend.fetch_stall_cycles")
-        .add(sum(&|l| l.fetch_stall_cycles));
+    t.counter("sim.stage.frontend.fetch_stall_cycles").add(
+        lanes
+            .iter()
+            .map(|l| window.fetch_stall_cycles(&l.tables))
+            .sum(),
+    );
     t.counter("sim.stage.frontend.redirects")
-        .add(sum(&|l| l.mispredicts));
+        .add(per_lane(window.mispredicts()));
     t.counter("sim.stage.issue.serialized_ops")
-        .add(sum(&|l| l.serialized));
+        .add(per_lane(window.serialized));
     t.counter("sim.stage.issue.distinct_cycles")
-        .add(sum(&|l| l.distinct));
+        .add(sum(&|r| r.distinct_issue_cycles));
     t.counter("sim.stage.exec.memory_wait_cycles")
-        .add(sum(&|l| l.memory_wait));
+        .add(sum(&|r| r.memory_wait_cycles));
     // Every branch in the window is one predictor observation: hits are
     // the correctly predicted ones, misses the rest — the engine's
     // observed/correct deltas expressed through the annotation.
     t.counter("sim.predictor.hits")
-        .add(sum(&|l| l.branches - l.mispredicts));
+        .add(per_lane(window.branches() - window.mispredicts()));
     t.counter("sim.predictor.misses")
-        .add(sum(&|l| l.mispredicts));
-    for i in 0..3 {
+        .add(per_lane(window.mispredicts()));
+    for (i, (accesses, misses)) in window.cache().into_iter().enumerate() {
         t.counter(metric_names::CACHE_HITS[i])
-            .add(sum(&|l| l.cache[i].0 - l.cache[i].1));
+            .add(per_lane(accesses - misses));
         t.counter(metric_names::CACHE_MISSES[i])
-            .add(sum(&|l| l.cache[i].1));
+            .add(per_lane(misses));
     }
 }
 
@@ -570,17 +693,38 @@ mod tests {
     #[cfg(feature = "telemetry")]
     #[test]
     fn sweep_flushes_engine_identical_counters() {
+        // The batch's flushed counters must equal the sum of one engine
+        // per lane. Per-sweep counts are multiplied out per lane with each
+        // lane's own penalties and latencies, so the lanes differ in depth,
+        // width, cache ports, forwarding and issue policy: a wrong
+        // multiplier, or a penalty taken from the wrong lane, shows here.
+        let mut narrow = SimConfig::paper(9);
+        narrow.width = 2;
+        narrow.cache_ports = 1;
+        let mut no_forwarding = SimConfig::paper(17);
+        no_forwarding.features.forwarding = false;
+        let mut out_of_order = SimConfig::paper(24);
+        out_of_order.features.issue = IssuePolicy::OutOfOrder;
+        let configs = [
+            SimConfig::paper(3),
+            narrow,
+            SimConfig::paper(12),
+            no_forwarding,
+            out_of_order,
+        ];
         let stream = trace(4_000);
-        let config = SimConfig::paper(12);
-        let notes = annotate(&stream, config.cache, config.predictor).expect("valid config");
+        let notes =
+            annotate(&stream, configs[0].cache, configs[0].predictor).expect("valid config");
 
         let engine_telemetry = Telemetry::new();
-        let mut engine = Engine::new(config).with_telemetry(engine_telemetry.clone());
-        engine.warm_up_slice(&stream, 1_000);
-        engine.run_slice(&stream[1_000..], 3_000);
+        for &config in &configs {
+            let mut engine = Engine::new(config).with_telemetry(engine_telemetry.clone());
+            engine.warm_up_slice(&stream, 1_000);
+            engine.run_slice(&stream[1_000..], 3_000);
+        }
 
         let replay_telemetry = Telemetry::new();
-        replay_sweep(&notes, &[config], 1_000, 3_000, &replay_telemetry).expect("valid config");
+        replay_sweep(&notes, &configs, 1_000, 3_000, &replay_telemetry).expect("valid configs");
 
         let a = engine_telemetry.snapshot();
         let b = replay_telemetry.snapshot();

@@ -10,7 +10,7 @@
 //! perturbing a single figure.
 
 use pipedepth_sim::annotate::{annotate, AnnotationStore};
-use pipedepth_sim::config::{Features, IssuePolicy};
+use pipedepth_sim::config::{CacheConfig, Features, IssuePolicy};
 use pipedepth_sim::replay::{replay, replay_sweep};
 use pipedepth_sim::{Engine, SimConfig, SimReport};
 use pipedepth_telemetry::Telemetry;
@@ -20,6 +20,8 @@ use pipedepth_trace::{TraceArena, WorkloadModel};
 const WARMUP: u64 = 3_000;
 const MEASURE: u64 = 6_000;
 const DEPTHS: [u32; 5] = [2, 7, 13, 19, 25];
+/// Stream length of each randomized case.
+const TRACE_LEN: u64 = 5_000;
 
 /// The paper's four workload classes, by their model presets.
 fn classes() -> [(&'static str, WorkloadModel); 4] {
@@ -31,11 +33,17 @@ fn classes() -> [(&'static str, WorkloadModel); 4] {
     ]
 }
 
-/// The reference semantics: a fresh stage engine over the slice hot path.
-fn engine_reference(trace: &[Instruction], config: SimConfig, warmup: u64) -> SimReport {
+/// The reference semantics: a fresh stage engine over the slice hot path,
+/// measuring up to `measure` instructions after the warmup.
+fn engine_reference(
+    trace: &[Instruction],
+    config: SimConfig,
+    warmup: u64,
+    measure: u64,
+) -> SimReport {
     let mut engine = Engine::new(config);
     engine.warm_up_slice(&trace[..warmup as usize], warmup);
-    engine.run_slice(&trace[warmup as usize..], u64::MAX)
+    engine.run_slice(&trace[warmup as usize..], measure)
 }
 
 #[test]
@@ -54,7 +62,7 @@ fn replay_reproduces_engine_across_class_depth_grid() {
         assert_eq!(batched.len(), DEPTHS.len());
 
         for (config, from_batch) in configs.iter().zip(&batched) {
-            let reference = engine_reference(&trace, *config, WARMUP);
+            let reference = engine_reference(&trace, *config, WARMUP, MEASURE);
             let single = replay(&notes, *config, WARMUP, MEASURE).expect("valid config");
             assert_eq!(
                 reference, single,
@@ -108,7 +116,7 @@ fn batched_lanes_may_differ_in_everything_but_the_annotation() {
     let batched =
         replay_sweep(&notes, &lanes, WARMUP, MEASURE, &Telemetry::disabled()).expect("valid");
     for (config, report) in lanes.iter().zip(&batched) {
-        let reference = engine_reference(&trace, *config, WARMUP);
+        let reference = engine_reference(&trace, *config, WARMUP, MEASURE);
         assert_eq!(
             &reference, report,
             "mixed-feature lane diverged (depth {}, width {})",
@@ -194,18 +202,53 @@ fn randomized_workloads_replay_exactly() {
         model.branches.biased_fraction = rng.in_range(0.5, 0.98);
         model.branches.bias = rng.in_range(0.55, 0.99);
         model.serial_fraction = rng.in_range(0.0, 0.02);
-        let depth = 2 + (rng.next() % 24) as u32;
+        // A random cache, where the per-sweep miss counts are most
+        // fragile: the case's low three bits switch off the L1i, make L2
+        // hits free and turn the prefetcher off, so the eight cases cover
+        // every combination; L1d and L2 sizes shrink at random.
+        let mut cache = CacheConfig::default();
+        if case & 1 == 1 {
+            cache.l1i_bytes = 0;
+        } else {
+            cache.l1i_bytes = 1 << (9 + rng.next() % 6);
+        }
+        cache.l2_latency_fo4 = if case & 2 == 2 {
+            0.0
+        } else {
+            rng.in_range(10.0, 400.0)
+        };
+        cache.prefetch = case & 4 == 0;
+        cache.l1_bytes = 1 << (9 + rng.next() % 7);
+        cache.l2_bytes = 1 << (12 + rng.next() % 9);
+        cache.memory_latency_fo4 = rng.in_range(0.0, 3_000.0);
+        let depths: [u32; 3] = std::array::from_fn(|_| 2 + (rng.next() % 24) as u32);
         let warmup = rng.next() % 2_000;
+        // A measured count that stops short of the end of the stream.
+        let measure = 1 + rng.next() % (TRACE_LEN - warmup - 1);
 
-        let trace = arena.get_or_generate(model, case_seed, 5_000);
-        let config = SimConfig::paper(depth);
-        let notes = annotate(&trace, config.cache, config.predictor).expect("valid config");
-        let reference = engine_reference(&trace, config, warmup);
-        let fast = replay(&notes, config, warmup, u64::MAX).expect("valid config");
-        assert_eq!(
-            reference, fast,
-            "randomized case {case} (seed {case_seed:#x}, depth {depth}, warmup {warmup}) diverged"
-        );
+        let trace = arena.get_or_generate(model, case_seed, TRACE_LEN);
+        let configs = depths.map(|depth| SimConfig {
+            cache,
+            ..SimConfig::paper(depth)
+        });
+        let notes = annotate(&trace, cache, configs[0].predictor).expect("valid config");
+        let batched = replay_sweep(&notes, &configs, warmup, measure, &Telemetry::disabled())
+            .expect("valid configs");
+        for (config, from_batch) in configs.iter().zip(&batched) {
+            let depth = config.depth;
+            let reference = engine_reference(&trace, *config, warmup, measure);
+            let single = replay(&notes, *config, warmup, measure).expect("valid config");
+            assert_eq!(
+                reference, single,
+                "randomized case {case} (seed {case_seed:#x}, depth {depth}, \
+                 warmup {warmup}, measure {measure}) diverged"
+            );
+            assert_eq!(
+                &reference, from_batch,
+                "randomized case {case} (seed {case_seed:#x}, depth {depth}, \
+                 warmup {warmup}, measure {measure}) diverged in the batch"
+            );
+        }
     }
 }
 
@@ -224,7 +267,7 @@ fn store_shares_one_annotation_per_stream_and_config() {
             .get_or_annotate(11, &trace, config.cache, config.predictor)
             .expect("valid config");
         let fast = replay(&notes, config, 500, u64::MAX).expect("valid config");
-        let reference = engine_reference(&trace, config, 500);
+        let reference = engine_reference(&trace, config, 500, u64::MAX);
         assert_eq!(reference, fast, "store-served replay diverged at {depth}");
     }
     assert_eq!(store.stats().misses, 1, "one annotation pass for the sweep");
