@@ -249,14 +249,23 @@ impl<S: Clone, V> ShardedCache<S, V> {
     /// before this returns, so callers never hold a shard guard while
     /// doing I/O with the result.
     pub fn entries(&self) -> Vec<(S, Arc<V>)> {
+        self.keyed_entries()
+            .into_iter()
+            .map(|(_, spec, value)| (spec, value))
+            .collect()
+    }
+
+    /// [`entries`](Self::entries) with each entry's key, for callers that
+    /// probe another cache with them.
+    pub(crate) fn keyed_entries(&self) -> Vec<(u64, S, Arc<V>)> {
         let mut out = Vec::new();
         for shard in &self.shards {
             let shard = shard.lock().unwrap_or_else(PoisonError::into_inner);
-            for bucket in shard.values() {
+            for (&key, bucket) in shard.iter() {
                 out.extend(
                     bucket
                         .iter()
-                        .map(|(spec, value)| (spec.clone(), Arc::clone(value))),
+                        .map(|(spec, value)| (key, spec.clone(), Arc::clone(value))),
                 );
             }
         }

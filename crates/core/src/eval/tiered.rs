@@ -152,10 +152,23 @@ impl<S: PartialEq + Clone, V> TieredCache<S, V> {
         self.memory.stats()
     }
 
-    /// A deterministic point-in-time snapshot of the memory tier — the
-    /// export path a persistence layer encodes and publishes.
+    /// A deterministic point-in-time snapshot of every entry the cache
+    /// can answer — the export path a persistence layer encodes and
+    /// publishes: the memory tier, then each warm-tier entry not yet
+    /// promoted into it. A snapshot therefore holds everything loaded
+    /// from disk plus everything computed since, so republishing never
+    /// drops an entry a previous run stored.
     pub fn entries(&self) -> Vec<(S, Arc<V>)> {
-        self.memory.entries()
+        let mut out = self.memory.entries();
+        if let Some(warm) = &self.warm {
+            out.extend(
+                warm.keyed_entries()
+                    .into_iter()
+                    .filter(|(key, spec, _)| self.memory.get(*key, spec).is_none())
+                    .map(|(_, spec, value)| (spec, value)),
+            );
+        }
+        out
     }
 }
 
@@ -248,17 +261,20 @@ mod tests {
     }
 
     #[test]
-    fn entries_snapshot_the_memory_tier_only() {
-        let cache = TieredCache::new().with_warm(warm_image(&[(1, 10, 100), (2, 20, 200)]));
+    fn entries_snapshot_loaded_and_computed_entries_once_each() {
+        // Key 1 holds two colliding specs; only one of them is promoted.
+        let cache =
+            TieredCache::new().with_warm(warm_image(&[(1, 10, 100), (1, 11, 110), (2, 20, 200)]));
         cache.insert(3, 30, Arc::new(300));
-        let _ = cache.get(1, &10); // promote one of the two warm entries
+        let _ = cache.get(1, &10); // promote one of the three warm entries
         let mut entries: Vec<(u32, u32)> = cache
             .entries()
             .into_iter()
             .map(|(spec, value)| (spec, *value))
             .collect();
         entries.sort_unstable();
-        assert_eq!(entries, vec![(10, 100), (30, 300)]);
+        assert_eq!(entries, vec![(10, 100), (11, 110), (20, 200), (30, 300)]);
+        assert_eq!(cache.len(), 2, "the memory tier alone is unchanged");
     }
 
     #[test]

@@ -165,8 +165,7 @@ fn main() -> io::Result<()> {
         runner = runner.without_sweep_kernel();
     }
     // The persistent store warm-starts the run: previously computed cells
-    // become the warm tier of the runner's cache, previously computed
-    // annotations seed the sweep kernel — both before any fan-out.
+    // become the warm tier of the runner's cache before any fan-out.
     let mut store = None;
     if let Some(dir) = opts.store.as_deref() {
         let mut s = RunStore::open(dir, &config, &telemetry);
@@ -180,10 +179,6 @@ fn main() -> io::Result<()> {
         store = Some(s);
     }
     let ctx = Context::with_backend(config, runner, opts.backend);
-    if let Some(store) = store.as_mut() {
-        let seeded = ctx.runner.seed_annotations(store.load_annotations());
-        println!("store: {seeded} annotation(s) seeded");
-    }
     println!(
         "pipedepth repro — {} instructions/depth after {} warmup, depths {:?}, {} worker(s), \
          {} backend",
@@ -224,8 +219,7 @@ fn main() -> io::Result<()> {
         // the suite sweep warm for the next start. Write-behind, so the
         // next phase starts immediately.
         if let Some(store) = store.as_mut() {
-            store.flush_reports_if_grown(ctx.runner.export_reports());
-            store.flush_annotations_if_grown(ctx.runner.export_annotations());
+            store.flush_reports_if_simulated(&ctx.runner);
         }
     }
 
@@ -242,8 +236,7 @@ fn main() -> io::Result<()> {
             fs::write(opts.out_dir.join(&artifact.filename), &artifact.contents)?;
         }
         if let Some(store) = store.as_mut() {
-            store.flush_reports_if_grown(ctx.runner.export_reports());
-            store.flush_annotations_if_grown(ctx.runner.export_annotations());
+            store.flush_reports_if_simulated(&ctx.runner);
         }
     }
 
@@ -323,9 +316,9 @@ fn main() -> io::Result<()> {
     });
     let store_line = match &store_stats {
         Some(s) => format!(
-            "persistent store: {} report(s) + {} annotation(s) loaded, {} cell(s) served warm, \
-             {} snapshot(s) published ({} records), {} rejected namespace(s)",
-            s.reports_loaded, s.annotations_loaded, s.hits, s.flushes, s.records_flushed, s.invalid
+            "persistent store: {} report(s) loaded, {} cell(s) served warm, {} snapshot(s) \
+             published ({} records), {} rejected namespace(s)",
+            s.reports_loaded, s.hits, s.flushes, s.records_flushed, s.invalid
         ),
         None => "persistent store: disabled; run started cold and left no snapshot".to_string(),
     };

@@ -29,8 +29,10 @@ use std::time::Duration;
 /// kernel-A/B consumers can drop it wholesale. Version 4 added the
 /// single-line `store` section (persistent-store counters of a `--store`
 /// run, or `null` without one), one line for the same reason: warm-vs-cold
-/// manifest comparisons drop it with a line filter.
-pub const SCHEMA_VERSION: u32 = 4;
+/// manifest comparisons drop it with a line filter. Version 5 removed
+/// `annotations_loaded` from the `store` section: `repro` persists only
+/// simulation reports, so it loads no annotations to count.
+pub const SCHEMA_VERSION: u32 = 5;
 
 /// Wall time of one named phase of a run.
 #[derive(Debug, Clone, PartialEq)]
@@ -170,12 +172,11 @@ impl Manifest {
                 let _ = writeln!(
                     out,
                     "  \"store\": {{\"enabled\": true, \"hits\": {}, \"misses\": {}, \
-                     \"reports_loaded\": {}, \"annotations_loaded\": {}, \"invalid\": {}, \
-                     \"flushes\": {}, \"records_flushed\": {}}},",
+                     \"reports_loaded\": {}, \"invalid\": {}, \"flushes\": {}, \
+                     \"records_flushed\": {}}},",
                     stats.hits,
                     stats.misses,
                     stats.reports_loaded,
-                    stats.annotations_loaded,
                     stats.invalid,
                     stats.flushes,
                     stats.records_flushed
@@ -239,7 +240,6 @@ mod tests {
                 hits: 5,
                 misses: 7,
                 reports_loaded: 5,
-                annotations_loaded: 2,
                 invalid: 0,
                 flushes: 3,
                 records_flushed: 21,
@@ -259,7 +259,7 @@ mod tests {
     #[test]
     fn renders_schema_version_and_sections() {
         let rendered = manifest().to_json();
-        assert!(rendered.starts_with("{\n  \"schema_version\": 4,\n"));
+        assert!(rendered.starts_with("{\n  \"schema_version\": 5,\n"));
         for needle in [
             "\"config\": {",
             "\"digest\": ",

@@ -183,9 +183,10 @@ impl Runner {
         self.cache.as_ref().and_then(TieredCache::warm_stats)
     }
 
-    /// A deterministic snapshot of every finished cell in the memory tier,
-    /// for the persistence layer to encode and publish. Empty under
-    /// `--no-cache`.
+    /// A deterministic snapshot of every finished cell the cache can
+    /// answer — each cell loaded into the warm tier plus each cell
+    /// simulated since — for the persistence layer to encode and publish.
+    /// Empty under `--no-cache`.
     pub fn export_reports(&self) -> Vec<(CellSpec, Arc<SimReport>)> {
         self.cache
             .as_ref()
@@ -197,7 +198,8 @@ impl Runner {
     /// sweep groups skip the annotate pass. Counter-neutral (seeded
     /// entries count neither hits nor misses); returns how many entries
     /// were actually inserted. No-op without the sweep kernel — the store
-    /// would never be consulted.
+    /// would never be consulted. `repro` persists no annotations;
+    /// perfbench's traced repro pass seeds its runner through this.
     pub fn seed_annotations(
         &self,
         seeds: impl IntoIterator<Item = (AnnotationKey, Arc<AnnotatedTrace>)>,
@@ -212,7 +214,8 @@ impl Runner {
     }
 
     /// A deterministic snapshot of every annotation in the store, for the
-    /// persistence layer to encode and publish.
+    /// persistence layer to encode and publish. `repro` persists no
+    /// annotations; perfbench's traced repro pass publishes this.
     pub fn export_annotations(&self) -> Vec<(AnnotationKey, Arc<AnnotatedTrace>)> {
         self.annotations.export()
     }

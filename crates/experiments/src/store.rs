@@ -1,7 +1,7 @@
 //! The persistent evaluation store behind `--store`: warm-starts a run
-//! from the snapshots a previous run published.
+//! from the snapshot a previous run published.
 //!
-//! [`RunStore`] is the experiments-side owner of two `pipedepth-store`
+//! [`RunStore`] is the experiments-side owner of the `pipedepth-store`
 //! namespaces under one directory:
 //!
 //! * `sim_reports` — every finished simulation cell, as a
@@ -9,10 +9,14 @@
 //!   *warm tier* of the runner's
 //!   [`TieredCache`](pipedepth_core::eval::TieredCache): memory misses
 //!   probe the decoded image and promote hits, so previously computed
-//!   cells skip simulation entirely.
+//!   cells skip simulation entirely. This is the only namespace `repro`
+//!   reads and writes: a run persists its answers, not the
+//!   intermediates that produced them.
 //! * `annotations` — the depth-invariant annotate-once columns, as an
-//!   ([`AnnotationKey`], [`AnnotatedTrace`]) record, so warm sweep
-//!   groups also skip the annotate pass.
+//!   ([`AnnotationKey`], [`AnnotatedTrace`]) record. `repro` neither
+//!   loads nor publishes it; [`RunStore::load_annotations`] and
+//!   [`RunStore::flush_annotations`] remain for perfbench's traced
+//!   repro pass, which still seeds and publishes annotations.
 //!
 //! Keys follow the store's invalidation discipline: each namespace is
 //! versioned by its record codec ([`REPORTS_SCHEMA`],
@@ -23,6 +27,13 @@
 //! hash collision inside a valid snapshot resolves by `PartialEq`
 //! exactly as in the in-memory cache.
 //!
+//! A snapshot holds every cell loaded at startup plus every cell
+//! simulated since ([`TieredCache::entries`](pipedepth_core::eval::TieredCache::entries)),
+//! so under one config digest the published set only grows.
+//! [`RunStore::flush_reports_if_simulated`] publishes only when the
+//! runner has simulated cells since the last publish, and builds the
+//! snapshot only then: a fully warm run exports and publishes nothing.
+//!
 //! Publishing is write-behind: `flush_*` snapshots the entries on the
 //! calling thread (no locks held — the cache's `entries()` drops its
 //! shard guards before returning) and hands encoding plus the atomic
@@ -32,7 +43,7 @@
 //! records.
 
 use crate::manifest::config_digest;
-use crate::runner::{CacheStats, CellSpec, SimCache};
+use crate::runner::{CacheStats, CellSpec, Runner, SimCache};
 use crate::sweep::RunConfig;
 use pipedepth_sim::{AnnotatedTrace, AnnotationKey, SimReport};
 use pipedepth_store::{
@@ -119,8 +130,6 @@ pub struct StoreStats {
     pub misses: u64,
     /// Report records decoded from a valid snapshot at startup.
     pub reports_loaded: u64,
-    /// Annotation records decoded from a valid snapshot at startup.
-    pub annotations_loaded: u64,
     /// Namespaces rejected at startup (corruption or version skew; a
     /// simply missing file does not count).
     pub invalid: u64,
@@ -142,16 +151,13 @@ pub struct RunStore {
     flushes: Arc<AtomicU64>,
     records_flushed: Arc<AtomicU64>,
     reports_loaded: u64,
-    annotations_loaded: u64,
     invalid: u64,
     warm: CacheStats,
-    // High-water marks for the growth-gated flush paths: the largest
-    // entry count already on disk (seeded by `load_*`, advanced by
-    // `flush_*_if_grown`). Republishing an unchanged snapshot costs a
-    // full re-encode for zero new durability, so a fully warm run—whose
-    // caches only ever re-fill to the loaded size—publishes nothing.
-    reports_high: u64,
-    annotations_high: u64,
+    // The runner's simulated-cell count at the last report publish
+    // (advanced by `flush_reports_if_simulated`). Republishing when
+    // nothing was simulated costs an export and a full re-encode for
+    // zero new durability, so a fully warm run publishes nothing.
+    simulated_published: u64,
 }
 
 impl std::fmt::Debug for RunStore {
@@ -160,7 +166,6 @@ impl std::fmt::Debug for RunStore {
             .field("dir", &self.dir)
             .field("digest", &self.digest)
             .field("reports_loaded", &self.reports_loaded)
-            .field("annotations_loaded", &self.annotations_loaded)
             .field("invalid", &self.invalid)
             .finish_non_exhaustive()
     }
@@ -175,7 +180,6 @@ impl RunStore {
             "store.hits",
             "store.misses",
             "store.reports_loaded",
-            "store.annotations_loaded",
             "store.invalid",
             "store.flushes",
             "store.records_flushed",
@@ -190,11 +194,9 @@ impl RunStore {
             flushes: Arc::new(AtomicU64::new(0)),
             records_flushed: Arc::new(AtomicU64::new(0)),
             reports_loaded: 0,
-            annotations_loaded: 0,
             invalid: 0,
             warm: CacheStats::default(),
-            reports_high: 0,
-            annotations_high: 0,
+            simulated_published: 0,
         }
     }
 
@@ -240,7 +242,6 @@ impl RunStore {
                 {
                     Ok(entries) => {
                         self.reports_loaded = entries.len() as u64;
-                        self.reports_high = self.reports_loaded;
                         self.telemetry
                             .counter("store.reports_loaded")
                             .add(self.reports_loaded);
@@ -265,7 +266,8 @@ impl RunStore {
     }
 
     /// Loads the `annotations` snapshot; same degradation rules as
-    /// [`load_reports`](Self::load_reports).
+    /// [`load_reports`](Self::load_reports). `repro` does not call it;
+    /// perfbench's traced repro pass does, to seed its runner.
     pub fn load_annotations(&mut self) -> Vec<(AnnotationKey, Arc<AnnotatedTrace>)> {
         let start = Stopwatch::start();
         let mut seeds = Vec::new();
@@ -277,11 +279,6 @@ impl RunStore {
                     .collect::<Result<Vec<_>, _>>()
                 {
                     Ok(entries) => {
-                        self.annotations_loaded = entries.len() as u64;
-                        self.annotations_high = self.annotations_loaded;
-                        self.telemetry
-                            .counter("store.annotations_loaded")
-                            .add(self.annotations_loaded);
                         seeds = entries
                             .into_iter()
                             .map(|(key, notes)| (key, Arc::new(notes)))
@@ -336,19 +333,23 @@ impl RunStore {
         });
     }
 
-    /// [`flush_reports`](Self::flush_reports), gated on growth: publishes
-    /// only when `entries` holds more cells than the largest snapshot
-    /// already on disk. The per-phase republish discipline then costs
-    /// nothing on phases that added no cells — and a fully warm run
-    /// publishes nothing at all.
-    pub fn flush_reports_if_grown(&mut self, entries: Vec<(CellSpec, Arc<SimReport>)>) {
-        if (entries.len() as u64) > self.reports_high {
-            self.reports_high = entries.len() as u64;
-            self.flush_reports(entries);
+    /// [`flush_reports`](Self::flush_reports) of `runner`'s finished
+    /// cells, gated on new work: exports and publishes only when the
+    /// runner has simulated cells since the last publish through this
+    /// gate (its memory-tier `misses` counter counts them). The per-phase
+    /// republish discipline then costs nothing on phases that simulated
+    /// nothing, and a fully warm run never builds a snapshot at all.
+    /// Without a cache the runner counts nothing, so nothing is published.
+    pub fn flush_reports_if_simulated(&mut self, runner: &Runner) {
+        let simulated = runner.cache_stats().map_or(0, |stats| stats.misses);
+        if simulated > self.simulated_published {
+            self.simulated_published = simulated;
+            self.flush_reports(runner.export_reports());
         }
     }
 
     /// Publishes a snapshot of resident annotations, write-behind.
+    /// `repro` does not call it; perfbench's traced repro pass does.
     pub fn flush_annotations(&self, entries: Vec<(AnnotationKey, Arc<AnnotatedTrace>)>) {
         let dir = self.dir.clone();
         let digest = self.digest;
@@ -381,20 +382,6 @@ impl RunStore {
         });
     }
 
-    /// [`flush_annotations`](Self::flush_annotations), gated on growth —
-    /// same discipline as [`flush_reports_if_grown`](Self::flush_reports_if_grown),
-    /// and the bigger win: annotations dominate snapshot bytes by two
-    /// orders of magnitude.
-    pub fn flush_annotations_if_grown(
-        &mut self,
-        entries: Vec<(AnnotationKey, Arc<AnnotatedTrace>)>,
-    ) {
-        if (entries.len() as u64) > self.annotations_high {
-            self.annotations_high = entries.len() as u64;
-            self.flush_annotations(entries);
-        }
-    }
-
     /// Records the warm-tier probe counters of the finished run (from
     /// [`Runner::warm_report_stats`](crate::runner::Runner::warm_report_stats)).
     pub fn record_warm(&mut self, stats: Option<CacheStats>) {
@@ -414,7 +401,6 @@ impl RunStore {
             hits: self.warm.hits,
             misses: self.warm.misses,
             reports_loaded: self.reports_loaded,
-            annotations_loaded: self.annotations_loaded,
             invalid: self.invalid,
             flushes: self.flushes.load(Ordering::Relaxed),
             records_flushed: self.records_flushed.load(Ordering::Relaxed),
@@ -425,11 +411,11 @@ impl RunStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::Runner;
+    use crate::sweep::WorkloadCurve;
     use pipedepth_sim::{annotate, SimConfig};
     use pipedepth_telemetry::Telemetry;
     use pipedepth_trace::{TraceGenerator, TraceRequest, WorkloadModel};
-    use pipedepth_workloads::representatives;
+    use pipedepth_workloads::{representatives, Workload};
     use std::sync::atomic::AtomicU32;
 
     /// A fresh scratch directory per test (std-only; no tempdir crate).
@@ -500,7 +486,48 @@ mod tests {
         let stats = store.finish();
         assert_eq!(stats.hits, cells);
         assert_eq!(stats.reports_loaded, cells);
-        assert_eq!(stats.annotations_loaded, ws.len() as u64);
+
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// One run shaped like `repro --store`: load, sweep `ws`, publish
+    /// through the gate `repro` uses, drain. Returns the curves, the cells the
+    /// run simulated and its store counters.
+    fn store_run(
+        dir: &Path,
+        cfg: &RunConfig,
+        ws: &[Workload],
+    ) -> (Vec<WorkloadCurve>, u64, StoreStats) {
+        let mut store = RunStore::open(dir, cfg, &Telemetry::disabled());
+        let runner = Runner::serial().with_warm_reports(store.load_reports());
+        let curves = runner.sweep_all(ws, cfg);
+        store.flush_reports_if_simulated(&runner);
+        store.record_warm(runner.warm_report_stats());
+        let simulated = runner.cache_stats().expect("cache enabled").misses;
+        (curves, simulated, store.finish())
+    }
+
+    #[test]
+    fn disjoint_runs_accumulate_into_one_snapshot() {
+        let dir = scratch("union");
+        let cfg = tiny();
+        let ws = representatives();
+        let (first, second) = ws.split_at(ws.len() / 2);
+        let cells = |w: &[Workload]| (w.len() * cfg.depths.len()) as u64;
+
+        let (a, simulated, stats) = store_run(&dir, &cfg, first);
+        assert_eq!((simulated, stats.flushes), (cells(first), 1));
+        // The second run loads the first run's cells and requests none of
+        // them; its snapshot must keep them all the same.
+        let (b, simulated, stats) = store_run(&dir, &cfg, second);
+        assert_eq!((simulated, stats.flushes), (cells(second), 1));
+        assert_eq!(stats.records_flushed, cells(&ws));
+
+        let (union, simulated, stats) = store_run(&dir, &cfg, &ws);
+        assert_eq!(simulated, 0, "the union is served entirely from disk");
+        assert_eq!(stats.hits, cells(&ws));
+        assert_eq!(stats.flushes, 0, "nothing new, nothing published");
+        assert_eq!(union, [a, b].concat(), "warm results are bit-identical");
 
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -565,7 +592,6 @@ mod tests {
             stats.invalid, 1,
             "a bad column value is a counted rejection"
         );
-        assert_eq!(stats.annotations_loaded, 0);
 
         let _ = std::fs::remove_dir_all(&dir);
     }

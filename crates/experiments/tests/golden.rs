@@ -4,19 +4,61 @@
 //! produce CSV artifacts with the expected headers and row counts,
 //! byte-identical across the two runs — the determinism guarantee the cell
 //! runner makes for any thread count — and `manifest.json` must be
-//! byte-identical after masking its wall-clock-dependent lines.
+//! byte-identical after masking its wall-clock-dependent lines. A cold and
+//! a warm `--store` run must write the same CSVs, leave only the report
+//! snapshot on disk, and the warm one must simulate and publish nothing.
 
+use std::collections::BTreeMap;
 use std::fs;
 use std::path::Path;
 use std::process::Command;
 
-fn run_repro(out: &Path, threads: &str) {
-    let status = Command::new(env!("CARGO_BIN_EXE_repro"))
+fn run_repro(out: &Path, threads: &str, store: Option<&Path>) {
+    let mut command = Command::new(env!("CARGO_BIN_EXE_repro"));
+    command
         .args(["--quick", "--threads", threads, "--out"])
-        .arg(out)
-        .status()
-        .expect("repro binary runs");
+        .arg(out);
+    if let Some(dir) = store {
+        command.arg("--store").arg(dir);
+    }
+    let status = command.status().expect("repro binary runs");
     assert!(status.success(), "repro exited with {status}");
+}
+
+/// Every `*.csv` artifact in `dir`, by file name.
+fn csvs(dir: &Path) -> BTreeMap<String, String> {
+    fs::read_dir(dir)
+        .expect("output directory lists")
+        .map(|entry| entry.expect("directory entry").path())
+        .filter(|path| path.extension().is_some_and(|e| e == "csv"))
+        .map(|path| {
+            let contents = fs::read_to_string(&path).expect("CSV reads");
+            let name = path.file_name().expect("file name");
+            (name.to_string_lossy().into_owned(), contents)
+        })
+        .collect()
+}
+
+/// The first `"field": N` at or after the start of the manifest's
+/// `section`, whether the section spans lines (`cache`, `arena`) or sits
+/// on one (`store`).
+fn counter(manifest: &str, section: &str, field: &str) -> u64 {
+    let start = manifest
+        .find(&format!("\"{section}\": {{"))
+        .unwrap_or_else(|| panic!("{section} section missing"));
+    let key = format!("\"{field}\": ");
+    let rest = &manifest[start..];
+    let at = rest
+        .find(&key)
+        .unwrap_or_else(|| panic!("{section}.{field} missing"))
+        + key.len();
+    let digits: String = rest[at..]
+        .chars()
+        .take_while(char::is_ascii_digit)
+        .collect();
+    digits
+        .parse()
+        .unwrap_or_else(|_| panic!("{section}.{field} is not a count"))
 }
 
 fn read(dir: &Path, name: &str) -> String {
@@ -45,8 +87,8 @@ fn masked_manifest(dir: &Path) -> String {
 fn quick_artifacts_are_deterministic_and_well_formed() {
     let base = std::env::temp_dir().join(format!("pipedepth-golden-{}", std::process::id()));
     let (dir_a, dir_b) = (base.join("a"), base.join("b"));
-    run_repro(&dir_a, "1");
-    run_repro(&dir_b, "2");
+    run_repro(&dir_a, "1", None);
+    run_repro(&dir_b, "2", None);
 
     // The quick config sweeps depths 2, 4, …, 24 → 12 rows per depth table;
     // Figs. 8/9 sample the analytic curves at depths 1–28.
@@ -113,7 +155,7 @@ fn quick_artifacts_are_deterministic_and_well_formed() {
         masked_manifest(&dir_b),
         "masked manifest must not depend on the thread count"
     );
-    assert!(masked.contains("\"schema_version\": 4"));
+    assert!(masked.contains("\"schema_version\": 5"));
     assert!(masked.contains("\"sweep_kernel\": {\"enabled\": true"));
     assert!(
         masked.contains("\"store\": null"),
@@ -147,21 +189,49 @@ fn quick_artifacts_are_deterministic_and_well_formed() {
     // The arena section: shared traces must serve ≥ 90% of requests, the
     // counters must be deterministic (unmasked lines already compared
     // above), and the hit counter must be nonzero.
-    let manifest_a = read(&dir_a, "manifest.json");
-    assert!(manifest_a.contains("\"arena\": {"), "arena section missing");
-    let arena_hits: u64 = manifest_a
-        .lines()
-        .skip_while(|l| !l.contains("\"arena\": {"))
-        .find(|l| l.contains("\"hits\": "))
-        .and_then(|l| {
-            l.trim()
-                .trim_start_matches("\"hits\": ")
-                .trim_end_matches(',')
-                .parse()
-                .ok()
-        })
-        .expect("arena hits counter present");
+    let arena_hits = counter(&read(&dir_a, "manifest.json"), "arena", "hits");
     assert!(arena_hits > 0, "arena must serve shared traces");
+
+    // A cold then a warm run against one store directory. The store keeps
+    // answers only, the warm run simulates and publishes nothing, and both
+    // write the store-less run's CSVs byte for byte.
+    let (store, dir_cold, dir_warm) = (base.join("store"), base.join("cold"), base.join("warm"));
+    run_repro(&dir_cold, "1", Some(&store));
+    run_repro(&dir_warm, "1", Some(&store));
+    let files: Vec<_> = fs::read_dir(&store)
+        .expect("store directory lists")
+        .map(|entry| entry.expect("directory entry").file_name())
+        .collect();
+    assert_eq!(
+        files,
+        ["sim_reports.pds"],
+        "the store persists answers only"
+    );
+    let warm = read(&dir_warm, "manifest.json");
+    assert_eq!(
+        counter(&warm, "cache", "misses"),
+        0,
+        "a warm run simulates nothing"
+    );
+    assert_eq!(
+        counter(&warm, "store", "flushes"),
+        0,
+        "nothing new to publish"
+    );
+    assert_eq!(
+        counter(&warm, "store", "hits"),
+        counter(&warm, "store", "reports_loaded"),
+        "every loaded report serves a cell"
+    );
+    let reference = csvs(&dir_a);
+    assert!(!reference.is_empty());
+    for dir in [&dir_cold, &dir_warm] {
+        assert!(
+            csvs(dir) == reference,
+            "{} CSVs differ from the store-less run",
+            dir.display()
+        );
+    }
 
     let _ = fs::remove_dir_all(&base);
 }

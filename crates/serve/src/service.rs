@@ -504,7 +504,7 @@ impl EvalService {
             if inserted > 0 && self.store.is_some() {
                 // Deterministic periodic snapshotting: every
                 // `STORE_FLUSH_EVERY` distinct new outcomes, publish the
-                // memory tier write-behind. Racing dispatchers may both
+                // simulation cache write-behind. Racing dispatchers may both
                 // cross the threshold — an extra snapshot is harmless
                 // (last-writer-wins on one file), a missed one is caught
                 // by the drain-time snapshot.
@@ -598,8 +598,9 @@ impl EvalService {
         self.queue.close();
     }
 
-    /// Publishes one write-behind snapshot of the simulation cache's
-    /// memory tier. The entries are snapshotted here, on the calling
+    /// Publishes one write-behind snapshot of every simulation outcome the
+    /// cache can answer: each outcome loaded at startup plus each one
+    /// computed since. The entries are snapshotted here, on the calling
     /// thread, with every shard guard already dropped — the flusher job
     /// owns its data outright (lock-order discipline).
     fn snapshot_store(&self) {
@@ -1054,7 +1055,7 @@ mod tests {
 
         // Restarted server: every cell answers from the warm tier, with
         // no dispatch worker running at all.
-        let warm = service(config);
+        let warm = service(config.clone());
         let resp = warm
             .evaluate(&request(WireBackend::Sim, None, cells))
             .expect("pure warm-cache answers need no queue");
@@ -1074,6 +1075,32 @@ mod tests {
             "all three from the warm tier"
         );
         assert_eq!(snap.counter("store.invalid"), 0);
+
+        // A restart that answers one new cell republishes: its snapshot
+        // keeps the three loaded outcomes it never requested.
+        let grown = service(config.clone());
+        with_workers(&grown, || {
+            grown
+                .evaluate(&request(
+                    WireBackend::Sim,
+                    None,
+                    vec![WireCell::new("fp-01", 9)],
+                ))
+                .expect("admitted")
+        });
+        grown.finish_store();
+        let snap = grown.telemetry().snapshot();
+        assert_eq!(snap.counter("serve.dispatches"), 1);
+        assert_eq!(snap.counter("store.records_flushed"), 4);
+        let fourth = service(config);
+        assert_eq!(
+            fourth
+                .telemetry()
+                .snapshot()
+                .counter("store.outcomes_loaded"),
+            4,
+            "every outcome ever answered survives the restarts"
+        );
 
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -22,7 +22,9 @@
 //! `PartialEq` exactly as an in-memory hit does.
 //!
 //! Publishing is write-behind and periodic: the dispatch loop snapshots
-//! the memory tier every [`crate::service`]-chosen insert threshold and
+//! the simulation cache — every outcome loaded at startup plus every one
+//! computed since, so a restart never drops what an earlier server
+//! published — every [`crate::service`]-chosen insert threshold and
 //! hands encoding plus the atomic temp-file-and-rename publish to the
 //! store's [`Flusher`](pipedepth_store::Flusher) worker. At graceful
 //! shutdown the server takes one final snapshot and
