@@ -48,43 +48,6 @@ fn bench_engine_classes(c: &mut Criterion) {
     group.finish();
 }
 
-/// Arena-vs-streaming: the same 50k-instruction simulation through the
-/// slice hot path over a pre-materialised trace (the repro run's steady
-/// state: the stream is resident, only the engine runs) versus the
-/// streaming path that regenerates the trace inline. The gap is the
-/// per-cell cost the arena removes times the slice path's win.
-fn bench_engine_paths(c: &mut Criterion) {
-    let mut group = c.benchmark_group("engine_paths");
-    const N: u64 = 50_000;
-    group.throughput(Throughput::Elements(N));
-    let arena = TraceArena::new();
-    let trace = arena.get_or_generate(WorkloadModel::spec_int_like(), 1, N);
-    for depth in [2u32, 8, 16, 25] {
-        group.bench_with_input(
-            BenchmarkId::new("slice_arena", depth),
-            &depth,
-            |b, &depth| {
-                b.iter(|| {
-                    let mut engine = Engine::new(SimConfig::paper(depth));
-                    black_box(engine.run_slice(black_box(&trace), N))
-                })
-            },
-        );
-        group.bench_with_input(
-            BenchmarkId::new("streaming_regen", depth),
-            &depth,
-            |b, &depth| {
-                b.iter(|| {
-                    let mut engine = Engine::new(SimConfig::paper(depth));
-                    let mut gen = TraceGenerator::new(WorkloadModel::spec_int_like(), 1);
-                    black_box(engine.run(&mut gen, N))
-                })
-            },
-        );
-    }
-    group.finish();
-}
-
 /// Cost of materialising a stream into the arena (the once-per-workload
 /// price the arena amortises) versus looking a resident one up.
 fn bench_trace_materialization(c: &mut Criterion) {
@@ -140,7 +103,7 @@ fn bench_annotate_vs_full(c: &mut Criterion) {
     group.bench_function("engine_full_pass", |b| {
         b.iter(|| {
             let mut engine = Engine::new(config);
-            black_box(engine.run_slice(black_box(&trace), N))
+            black_box(engine.run(black_box(&trace).iter().copied(), N))
         })
     });
     group.bench_function("replay_one_depth", |b| {
@@ -223,8 +186,7 @@ fn bench_predictor(c: &mut Criterion) {
 criterion_group! {
     name = simulator;
     config = Criterion::default().sample_size(10);
-    targets = bench_engine_depths, bench_engine_classes, bench_engine_paths,
-              bench_annotate_vs_full, bench_sweep_kernel_scaling,
+    targets = bench_engine_depths, bench_engine_classes, bench_annotate_vs_full, bench_sweep_kernel_scaling,
               bench_trace_materialization, bench_trace_generation,
               bench_cache, bench_predictor
 }

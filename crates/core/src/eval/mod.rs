@@ -15,10 +15,10 @@
 //!   per-instruction time, throughput, gated/ungated power and the six
 //!   `BIPS^m/W` metrics;
 //! * [`Evaluator`] — the backend trait, `fn evaluate(&self, &CellSpec) ->
-//!   Result<EvalOutcome, EvalError>`, plus two batched entry points
-//!   backends can override: `evaluate_batch` (N arbitrary cells, one
-//!   dispatch) and `evaluate_sweep` (one workload across a depth list,
-//!   the hook for the simulator's annotate-once replay kernel);
+//!   Result<EvalOutcome, EvalError>`, plus a batched entry point backends
+//!   can override: `evaluate_batch` (N arbitrary cells, one dispatch —
+//!   the simulation backend's runner groups a batch's depth mates into
+//!   one annotate-once replay pass);
 //! * [`AnalyticModel`] — the closed-form backend, evaluating the paper's
 //!   extended theory (`τ_total = τ(p) + t_mem`) directly from the profile;
 //! * [`EvalCache`] / [`ShardedCache`] — the concurrent result cache
@@ -268,31 +268,6 @@ pub trait Evaluator: Send + Sync {
     fn evaluate_batch(&self, cells: &[CellSpec]) -> Vec<Result<EvalOutcome, EvalError>> {
         cells.iter().map(|cell| self.evaluate(cell)).collect()
     }
-
-    /// Evaluates one workload across a depth sweep, returning one result
-    /// per depth in order.
-    ///
-    /// Every cell of the sweep is `base` with only [`CellSpec::depth`]
-    /// replaced. The default implementation clones and evaluates per
-    /// depth; backends with a depth-batched fast path (the simulation
-    /// backend's annotate-once / replay-per-depth kernel) override it to
-    /// answer the whole sweep in one trace pass.
-    fn evaluate_sweep(
-        &self,
-        base: &CellSpec,
-        depths: &[u32],
-    ) -> Vec<Result<EvalOutcome, EvalError>> {
-        depths
-            .iter()
-            .map(|&depth| {
-                let cell = CellSpec {
-                    depth,
-                    ..base.clone()
-                };
-                self.evaluate(&cell)
-            })
-            .collect()
-    }
 }
 
 /// The closed-form backend: evaluates the paper's extended theory
@@ -477,23 +452,6 @@ mod tests {
         assert_eq!(batch[0], model.evaluate(&cells[0]));
         assert!(batch[1].is_err());
         assert_eq!(batch[2], model.evaluate(&cells[2]));
-    }
-
-    #[test]
-    fn sweep_default_is_the_base_cell_at_each_depth() {
-        let model = AnalyticModel::paper();
-        let base = CellSpec::new("t", profile(), 1);
-        let depths = [4u32, 0, 9, 4];
-        let sweep = model.evaluate_sweep(&base, &depths);
-        assert_eq!(sweep.len(), depths.len());
-        for (&depth, got) in depths.iter().zip(&sweep) {
-            let cell = CellSpec {
-                depth,
-                ..base.clone()
-            };
-            assert_eq!(got, &model.evaluate(&cell));
-        }
-        assert!(sweep[1].is_err(), "depth 0 must fail inside a sweep too");
     }
 
     #[test]

@@ -34,9 +34,7 @@ struct Options {
     list: bool,
     threads: usize,
     timing_details: bool,
-    no_arena: bool,
     no_cache: bool,
-    no_sweep_kernel: bool,
     out_dir: PathBuf,
     only: Option<Vec<String>>,
     backend: Backend,
@@ -50,9 +48,7 @@ fn parse_args() -> Options {
         list: false,
         threads: 0,
         timing_details: false,
-        no_arena: false,
         no_cache: false,
-        no_sweep_kernel: false,
         out_dir: PathBuf::from("results"),
         only: None,
         backend: Backend::Sim,
@@ -70,9 +66,7 @@ fn parse_args() -> Options {
             "--quick" => opts.quick = true,
             "--list" => opts.list = true,
             "--timing-details" => opts.timing_details = true,
-            "--no-arena" => opts.no_arena = true,
             "--no-cache" => opts.no_cache = true,
-            "--no-sweep-kernel" => opts.no_sweep_kernel = true,
             "--out" => {
                 opts.out_dir = PathBuf::from(value(&args, i, "--out"));
                 i += 1;
@@ -107,8 +101,8 @@ fn parse_args() -> Options {
                 eprintln!("unknown argument {other:?}");
                 eprintln!(
                     "usage: repro [--quick] [--out DIR] [--only a,b] [--list] [--threads N] \
-                     [--backend sim|model|both] [--timing-details] [--no-arena] [--no-cache] \
-                     [--no-sweep-kernel] [--store DIR] [--no-store]"
+                     [--backend sim|model|both] [--timing-details] [--no-cache] [--store DIR] \
+                     [--no-store]"
                 );
                 exit(2);
             }
@@ -155,14 +149,8 @@ fn main() -> io::Result<()> {
     fs::create_dir_all(&opts.out_dir)?;
     let telemetry = Telemetry::new();
     let mut runner = Runner::new(opts.threads).with_telemetry(telemetry.clone());
-    if opts.no_arena {
-        runner = runner.without_arena();
-    }
     if opts.no_cache {
         runner = runner.without_cache();
-    }
-    if opts.no_sweep_kernel {
-        runner = runner.without_sweep_kernel();
     }
     // The persistent store warm-starts the run: previously computed cells
     // become the warm tier of the runner's cache before any fan-out.
@@ -283,30 +271,20 @@ fn main() -> io::Result<()> {
     };
     let _ = writeln!(report, "\n{cache_line}");
     let arena = ctx.runner.arena_stats();
-    let arena_line = match &arena {
-        Some(a) => format!(
-            "trace arena: {} streams materialized ({} instructions), {} shared lookups \
-             (hit rate {:.1}%)",
-            a.misses,
-            a.instructions_materialized,
-            a.hits,
-            100.0 * a.hit_rate()
-        ),
-        None => "trace arena: disabled (--no-arena); every cell regenerated its trace".to_string(),
-    };
+    let arena_line = format!(
+        "trace arena: {} streams materialized ({} instructions), {} shared lookups \
+         (hit rate {:.1}%)",
+        arena.misses,
+        arena.instructions_materialized,
+        arena.hits,
+        100.0 * arena.hit_rate()
+    );
     let _ = writeln!(report, "\n{arena_line}");
-    let kernel = ctx
-        .runner
-        .sweep_kernel_enabled()
-        .then(|| ctx.runner.annotation_stats());
-    let kernel_line = match &kernel {
-        Some(k) => format!(
-            "sweep kernel: {} streams annotated ({} instructions), {} annotation reuses",
-            k.misses, k.instructions_annotated, k.hits
-        ),
-        None => "sweep kernel: disabled (--no-sweep-kernel); every cell ran the stage engine"
-            .to_string(),
-    };
+    let kernel = ctx.runner.annotation_stats();
+    let kernel_line = format!(
+        "sweep kernel: {} streams annotated ({} instructions), {} annotation reuses",
+        kernel.misses, kernel.instructions_annotated, kernel.hits
+    );
     let _ = writeln!(report, "\n{kernel_line}");
     // Drain the store's write-behind worker *before* the telemetry
     // snapshot, so the manifest records the final flush counters.

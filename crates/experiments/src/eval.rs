@@ -303,8 +303,9 @@ impl<R: Borrow<Runner> + Send + Sync> Evaluator for SimBackend<R> {
 
     /// Answers the whole batch in **one** runner dispatch: invalid cells
     /// fail fast as values, every runnable cell joins a single
-    /// [`Runner::run_cells`] call (which coalesces duplicates and fans out
-    /// over the worker pool once), and outcomes are mapped back in order.
+    /// [`Runner::run_cells`] call (which coalesces duplicates, replays
+    /// depth mates in one pass and fans out over the worker pool once),
+    /// and outcomes are mapped back in order.
     fn evaluate_batch(&self, cells: &[CellSpec]) -> Vec<Result<EvalOutcome, EvalError>> {
         let prepared: Vec<Result<SimCell, EvalError>> =
             cells.iter().map(|cell| self.prepare(cell)).collect();
@@ -327,25 +328,6 @@ impl<R: Borrow<Runner> + Send + Sync> Evaluator for SimBackend<R> {
                 })
             })
             .collect()
-    }
-
-    /// Answers a depth sweep in one runner dispatch. The runner recognises
-    /// the resulting cells — identical in everything but depth — and
-    /// routes them through the annotate-once / replay-per-depth sweep
-    /// kernel: one trace pass advances every depth lane.
-    fn evaluate_sweep(
-        &self,
-        base: &CellSpec,
-        depths: &[u32],
-    ) -> Vec<Result<EvalOutcome, EvalError>> {
-        let cells: Vec<CellSpec> = depths
-            .iter()
-            .map(|&depth| CellSpec {
-                depth,
-                ..base.clone()
-            })
-            .collect();
-        self.evaluate_batch(&cells)
     }
 }
 
@@ -502,36 +484,6 @@ mod tests {
                 continue;
             }
             let single = backend.evaluate(&cells[i]).expect("valid cell");
-            assert_eq!(result.as_ref().expect("valid cell"), &single);
-        }
-    }
-
-    #[test]
-    fn sweep_evaluation_is_one_dispatch_and_matches_single_cells() {
-        let runner = Runner::serial();
-        let cfg = tiny();
-        let w = &representatives()[2];
-        let backend = SimBackend::with_workloads(&runner, std::slice::from_ref(w));
-        let base = cell_for(w, fitted_profile(w), cfg.depths[0], &cfg);
-        let depths = [4u32, 99, 8, 12];
-        let sweep = backend.evaluate_sweep(&base, &depths);
-        assert_eq!(sweep.len(), depths.len());
-        assert!(sweep[1].is_err(), "out-of-range depth fails as a value");
-        // One dispatch: the runner saw exactly the runnable depths, once.
-        let stats = runner.cache_stats().expect("cache enabled by default");
-        assert_eq!(stats.requested(), 3);
-        // And the kernel-backed sweep matches per-cell evaluation exactly.
-        let reference = Runner::serial().without_sweep_kernel();
-        let ref_backend = SimBackend::with_workloads(&reference, std::slice::from_ref(w));
-        for (&depth, result) in depths.iter().zip(&sweep) {
-            if depth == 99 {
-                continue;
-            }
-            let cell = CellSpec {
-                depth,
-                ..base.clone()
-            };
-            let single = ref_backend.evaluate(&cell).expect("valid cell");
             assert_eq!(result.as_ref().expect("valid cell"), &single);
         }
     }

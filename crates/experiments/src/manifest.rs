@@ -22,16 +22,14 @@ use std::time::Duration;
 
 /// Version of the manifest layout; bumped on breaking changes so consumers
 /// can reject manifests they do not understand. Version 2 added the
-/// `arena` section (trace-arena service counters, or `null` when the arena
-/// is disabled via `--no-arena`). Version 3 added the single-line
-/// `sweep_kernel` section (annotation-store counters, or `null` when the
-/// kernel is disabled via `--no-sweep-kernel`) — kept to one line so
-/// kernel-A/B consumers can drop it wholesale. Version 4 added the
-/// single-line `store` section (persistent-store counters of a `--store`
-/// run, or `null` without one), one line for the same reason: warm-vs-cold
-/// manifest comparisons drop it with a line filter. Version 5 removed
-/// `annotations_loaded` from the `store` section: `repro` persists only
-/// simulation reports, so it loads no annotations to count.
+/// `arena` section (trace-arena service counters). Version 3 added the
+/// single-line `sweep_kernel` section (annotation-store counters) — kept
+/// to one line so line-oriented consumers can drop it wholesale. Version 4
+/// added the single-line `store` section (persistent-store counters of a
+/// `--store` run, or `null` without one), one line for the same reason:
+/// warm-vs-cold manifest comparisons drop it with a line filter. Version 5
+/// removed `annotations_loaded` from the `store` section: `repro` persists
+/// only simulation reports, so it loads no annotations to count.
 pub const SCHEMA_VERSION: u32 = 5;
 
 /// Wall time of one named phase of a run.
@@ -55,12 +53,10 @@ pub struct Manifest {
     /// Simulation-cache counters at the end of the run; `None` when the
     /// cache was disabled (`--no-cache`).
     pub cache: Option<CacheStats>,
-    /// Trace-arena counters at the end of the run; `None` when the arena
-    /// was disabled (`--no-arena`).
-    pub arena: Option<ArenaStats>,
-    /// Annotation-store counters of the sweep kernel; `None` when the
-    /// kernel was disabled (`--no-sweep-kernel`).
-    pub sweep_kernel: Option<AnnotateStats>,
+    /// Trace-arena counters at the end of the run.
+    pub arena: ArenaStats,
+    /// Annotation-store counters of the sweep kernel.
+    pub sweep_kernel: AnnotateStats,
     /// Persistent-store counters; `None` when the run had no `--store`.
     pub store: Option<StoreStats>,
     /// Snapshot of every telemetry metric (empty when telemetry is
@@ -134,36 +130,28 @@ impl Manifest {
             }
             None => out.push_str("  \"cache\": null,\n"),
         }
-        match &self.arena {
-            Some(arena) => {
-                out.push_str("  \"arena\": {\n");
-                let _ = writeln!(out, "    \"hits\": {},", arena.hits);
-                let _ = writeln!(out, "    \"misses\": {},", arena.misses);
-                let _ = writeln!(
-                    out,
-                    "    \"instructions_materialized\": {},",
-                    arena.instructions_materialized
-                );
-                let _ = writeln!(out, "    \"requested\": {},", arena.requested());
-                let _ = writeln!(out, "    \"hit_rate\": {}", json::number(arena.hit_rate()));
-                out.push_str("  },\n");
-            }
-            None => out.push_str("  \"arena\": null,\n"),
-        }
-        // The whole section stays on ONE line containing `sweep_kernel`,
-        // enabled or not, so the kernel-A/B manifest comparison can delete
-        // it (and nothing else) with a single line filter.
-        match &self.sweep_kernel {
-            Some(stats) => {
-                let _ = writeln!(
-                    out,
-                    "  \"sweep_kernel\": {{\"enabled\": true, \"annotation_hits\": {}, \
-                     \"annotation_misses\": {}, \"instructions_annotated\": {}}},",
-                    stats.hits, stats.misses, stats.instructions_annotated
-                );
-            }
-            None => out.push_str("  \"sweep_kernel\": null,\n"),
-        }
+        let arena = &self.arena;
+        out.push_str("  \"arena\": {\n");
+        let _ = writeln!(out, "    \"hits\": {},", arena.hits);
+        let _ = writeln!(out, "    \"misses\": {},", arena.misses);
+        let _ = writeln!(
+            out,
+            "    \"instructions_materialized\": {},",
+            arena.instructions_materialized
+        );
+        let _ = writeln!(out, "    \"requested\": {},", arena.requested());
+        let _ = writeln!(out, "    \"hit_rate\": {}", json::number(arena.hit_rate()));
+        out.push_str("  },\n");
+        // The whole section stays on ONE line containing `sweep_kernel`, so
+        // the warm-vs-cold manifest comparison can delete it (and nothing
+        // else) with a single line filter.
+        let kernel = &self.sweep_kernel;
+        let _ = writeln!(
+            out,
+            "  \"sweep_kernel\": {{\"enabled\": true, \"annotation_hits\": {}, \
+             \"annotation_misses\": {}, \"instructions_annotated\": {}}},",
+            kernel.hits, kernel.misses, kernel.instructions_annotated
+        );
         // Same one-line contract as `sweep_kernel`: warm-vs-cold manifest
         // comparisons delete every line containing `store` and nothing
         // else, so the section must never span lines.
@@ -226,16 +214,16 @@ mod tests {
                 misses: 3,
                 inserts: 3,
             }),
-            arena: Some(ArenaStats {
+            arena: ArenaStats {
                 hits: 9,
                 misses: 1,
                 instructions_materialized: 30_000,
-            }),
-            sweep_kernel: Some(AnnotateStats {
+            },
+            sweep_kernel: AnnotateStats {
                 hits: 8,
                 misses: 2,
                 instructions_annotated: 12_000,
-            }),
+            },
             store: Some(StoreStats {
                 hits: 5,
                 misses: 7,
@@ -280,42 +268,19 @@ mod tests {
     }
 
     #[test]
-    fn disabled_arena_renders_null() {
-        let mut m = manifest();
-        m.arena = None;
-        let rendered = m.to_json();
-        assert!(rendered.contains("\"arena\": null,"));
-        assert!(!rendered.contains("\"arena\": {"));
-    }
-
-    #[test]
     fn sweep_kernel_section_stays_on_one_line() {
-        // The kernel-A/B comparison deletes every line containing
-        // `sweep_kernel`; the section must therefore never span lines,
-        // enabled or disabled.
-        let enabled = manifest().to_json();
-        let mut m = manifest();
-        m.sweep_kernel = None;
-        let disabled = m.to_json();
-        for rendered in [&enabled, &disabled] {
-            assert_eq!(
-                rendered
-                    .lines()
-                    .filter(|l| l.contains("sweep_kernel"))
-                    .count(),
-                1,
-                "sweep_kernel must occupy exactly one line"
-            );
-        }
-        assert!(disabled.contains("\"sweep_kernel\": null,"));
-        // Dropping that one line makes the two manifests identical.
-        let strip = |s: &str| {
-            s.lines()
-                .filter(|l| !l.contains("sweep_kernel"))
-                .collect::<Vec<_>>()
-                .join("\n")
-        };
-        assert_eq!(strip(&enabled), strip(&disabled));
+        // The warm-vs-cold manifest comparison deletes every line
+        // containing `sweep_kernel`; the section must therefore never span
+        // lines.
+        let rendered = manifest().to_json();
+        assert_eq!(
+            rendered
+                .lines()
+                .filter(|l| l.contains("sweep_kernel"))
+                .count(),
+            1,
+            "sweep_kernel must occupy exactly one line"
+        );
     }
 
     #[test]

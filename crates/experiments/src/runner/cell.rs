@@ -7,8 +7,7 @@
 //! same report, which is what lets different figures share simulations.
 
 use pipedepth_sim::{Engine, SimConfig, SimReport};
-use pipedepth_telemetry::Telemetry;
-use pipedepth_trace::{Fnv64, TraceArena, TraceGenerator, WorkloadModel};
+use pipedepth_trace::{Fnv64, TraceGenerator, WorkloadModel};
 use pipedepth_workloads::Workload;
 
 /// One simulation cell: the complete, content-addressed description of a
@@ -61,35 +60,15 @@ impl CellSpec {
         self.warmup + self.instructions
     }
 
-    /// Runs the cell standalone: fresh engine, fresh streaming trace,
-    /// warmup, measure. Equivalent to the arena path (see the
-    /// slice-equivalence tests) but regenerates the trace; the runner uses
-    /// [`execute_with`](Self::execute_with) instead.
+    /// Runs the cell on the reference stage engine: fresh engine, fresh
+    /// streaming trace, warmup, measure. The runner times cells with the
+    /// annotate/replay sweep kernel instead; this is what its tests hold
+    /// that kernel to.
     pub fn execute(&self) -> SimReport {
-        self.execute_streaming(&Telemetry::disabled())
-    }
-
-    /// Streaming execution with engine and trace counters reporting into
-    /// `telemetry` (a disabled handle makes this identical to
-    /// [`execute`](Self::execute)). The `--no-arena` escape hatch routes
-    /// every cell through here.
-    pub fn execute_streaming(&self, telemetry: &Telemetry) -> SimReport {
-        let mut engine = Engine::new(self.sim).with_telemetry(telemetry.clone());
-        let mut gen = TraceGenerator::with_telemetry(self.model, self.trace_seed, telemetry);
+        let mut engine = Engine::new(self.sim);
+        let mut gen = TraceGenerator::new(self.model, self.trace_seed);
         engine.warm_up(&mut gen, self.warmup);
         engine.run(&mut gen, self.instructions)
-    }
-
-    /// Arena execution — the hot path: borrows the cell's stream from
-    /// `arena` (materialising on first request) and replays it through the
-    /// engine's slice entry points, so N cells sharing a stream pay for
-    /// one generation.
-    pub fn execute_with(&self, arena: &TraceArena, telemetry: &Telemetry) -> SimReport {
-        let trace = arena.get_or_generate(self.model, self.trace_seed, self.trace_len());
-        let mut engine = Engine::new(self.sim).with_telemetry(telemetry.clone());
-        let split = self.warmup as usize;
-        engine.warm_up_slice(&trace[..split], self.warmup);
-        engine.run_slice(&trace[split..], self.instructions)
     }
 }
 
@@ -135,18 +114,5 @@ mod tests {
     fn execution_is_deterministic() {
         let spec = cell(6);
         assert_eq!(spec.execute(), spec.execute());
-    }
-
-    #[test]
-    fn arena_execution_matches_streaming() {
-        let arena = TraceArena::new();
-        let telemetry = Telemetry::disabled();
-        for depth in [4, 12] {
-            let spec = cell(depth);
-            assert_eq!(spec.execute_with(&arena, &telemetry), spec.execute());
-        }
-        // Both depths drew the same (model, seed, length) stream.
-        assert_eq!(arena.stats().misses, 1);
-        assert_eq!(arena.stats().hits, 1);
     }
 }

@@ -21,6 +21,13 @@
 //! streams up, so no generation work is duplicated, no worker blocks on
 //! another's generation, and the arena's hit/miss counters are identical
 //! for any thread count.
+//!
+//! Every simulated cell is timed by the sweep kernel: the planner groups
+//! the pending cells that differ only in pipeline depth, annotates each
+//! group's stream once ([`AnnotationStore`]), and [`replay_sweep`] advances
+//! every member as one lane of a single pass. A cell with no depth mates is
+//! a one-lane group. The stage engine ([`CellSpec::execute`]) is the
+//! reference the kernel is tested against, not a second production path.
 
 mod cache;
 mod cell;
@@ -33,7 +40,7 @@ use crate::sweep::{DepthPoint, RunConfig, WorkloadCurve};
 use pipedepth_core::eval::TieredCache;
 use pipedepth_power::metric;
 use pipedepth_sim::{
-    replay_sweep, AnnotatedTrace, AnnotationKey, AnnotationStore, SimConfig, SimReport,
+    replay_sweep, AnnotatedTrace, AnnotationKey, AnnotationStore, ConfigError, SimConfig, SimReport,
 };
 use pipedepth_telemetry::{Stopwatch, Telemetry, DEFAULT_TIME_BUCKETS_US};
 use pipedepth_trace::{ArenaStats, Instruction, TraceArena, TraceRequest};
@@ -43,22 +50,19 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
 /// One pending cell's pre-staged inputs: the trace-request key and the
-/// arena-resident stream, or `None` when the arena is disabled.
-type StagedCell = Option<(u64, Arc<[Instruction]>)>;
+/// arena-resident stream.
+type StagedCell = (u64, Arc<[Instruction]>);
 
-/// One schedulable unit of a batch: either a single cell on the stage
-/// engine, or a whole same-workload depth group on the annotate/replay
-/// sweep kernel.
+/// One schedulable unit of a batch: pending cells that differ only in
+/// pipeline depth, replayed as the lanes of one pass over the annotation
+/// they share.
 #[derive(Debug)]
-enum WorkItem {
-    /// Index into the pending list; runs the full stage engine.
-    Cell(usize),
-    /// Pending indices differing only in pipeline depth, plus the one
-    /// annotation their replay lanes share.
-    Group {
-        members: Vec<usize>,
-        annotation: Arc<AnnotatedTrace>,
-    },
+struct Group {
+    /// Indices into the pending list; the first is the group's lead.
+    members: Vec<usize>,
+    /// The shared annotation, or the configuration error that prevented
+    /// it — surfaced where replay surfaces its own validation errors.
+    annotation: Result<Arc<AnnotatedTrace>, ConfigError>,
 }
 
 /// Executes simulation cells on a worker pool, backed by a shared cache.
@@ -71,13 +75,9 @@ pub struct Runner {
     /// still coalesce.
     cache: Option<TieredCache<CellSpec, SimReport>>,
     telemetry: Telemetry,
-    /// Shared trace store; `None` routes every cell through the streaming
-    /// path (the `--no-arena` escape hatch).
-    arena: Option<TraceArena>,
-    /// Routes same-workload depth groups through the annotate-once /
-    /// replay-per-depth kernel; `false` restores the per-cell engine path
-    /// (the `--no-sweep-kernel` escape hatch).
-    sweep_kernel: bool,
+    /// Shared trace store: one materialised stream per (model, seed,
+    /// length), staged before each batch fans out.
+    arena: TraceArena,
     /// Shared annotations, one per (stream, cache, predictor), reused
     /// across batches exactly as the arena shares streams.
     annotations: AnnotationStore,
@@ -101,8 +101,7 @@ impl Runner {
             threads,
             cache: Some(TieredCache::new()),
             telemetry: Telemetry::disabled(),
-            arena: Some(TraceArena::new()),
-            sweep_kernel: true,
+            arena: TraceArena::new(),
             annotations: AnnotationStore::new(),
             memo_hits_seen: AtomicU64::new(pipedepth_trace::fingerprint_memo_hits()),
         }
@@ -115,22 +114,12 @@ impl Runner {
     }
 
     /// Attaches a telemetry handle; scheduling counters, per-cell timing
-    /// histograms, arena counters and the engine/trace metrics of every
-    /// executed cell report into it.
+    /// histograms, arena and annotation counters and the replay/trace
+    /// metrics of every executed group report into it.
     pub fn with_telemetry(mut self, telemetry: Telemetry) -> Self {
-        if let Some(arena) = self.arena.as_mut() {
-            arena.attach_telemetry(&telemetry);
-        }
+        self.arena.attach_telemetry(&telemetry);
         self.annotations.attach_telemetry(&telemetry);
         self.telemetry = telemetry;
-        self
-    }
-
-    /// Disables the trace arena: every cell regenerates its stream through
-    /// the streaming engine path, as before the arena existed. An escape
-    /// hatch for memory-constrained hosts and for A/B-ing the two paths.
-    pub fn without_arena(mut self) -> Self {
-        self.arena = None;
         self
     }
 
@@ -151,16 +140,6 @@ impl Runner {
         if let Some(cache) = self.cache.as_mut() {
             cache.attach_warm(warm);
         }
-        self
-    }
-
-    /// Disables the annotate/replay sweep kernel: every cell runs the full
-    /// stage engine, as before the kernel existed. The `--no-sweep-kernel`
-    /// escape hatch, and the A/B lever the equivalence CI check flips —
-    /// the two paths are bit-identical by construction (see the
-    /// `replay_equivalence` suite in `pipedepth-sim`).
-    pub fn without_sweep_kernel(mut self) -> Self {
-        self.sweep_kernel = false;
         self
     }
 
@@ -195,18 +174,14 @@ impl Runner {
     }
 
     /// Seeds the annotation store from a persistent snapshot, so warm
-    /// sweep groups skip the annotate pass. Counter-neutral (seeded
+    /// depth groups skip the annotate pass. Counter-neutral (seeded
     /// entries count neither hits nor misses); returns how many entries
-    /// were actually inserted. No-op without the sweep kernel — the store
-    /// would never be consulted. `repro` persists no annotations;
+    /// were actually inserted. `repro` persists no annotations;
     /// perfbench's traced repro pass seeds its runner through this.
     pub fn seed_annotations(
         &self,
         seeds: impl IntoIterator<Item = (AnnotationKey, Arc<AnnotatedTrace>)>,
     ) -> u64 {
-        if !self.sweep_kernel {
-            return 0;
-        }
         seeds
             .into_iter()
             .filter(|(key, notes)| self.annotations.seed(*key, Arc::clone(notes)))
@@ -220,18 +195,13 @@ impl Runner {
         self.annotations.export()
     }
 
-    /// Arena service counters so far; `None` when the arena is disabled.
-    pub fn arena_stats(&self) -> Option<ArenaStats> {
-        self.arena.as_ref().map(TraceArena::stats)
+    /// Arena service counters so far.
+    pub fn arena_stats(&self) -> ArenaStats {
+        self.arena.stats()
     }
 
-    /// Whether the annotate/replay sweep kernel is enabled.
-    pub fn sweep_kernel_enabled(&self) -> bool {
-        self.sweep_kernel
-    }
-
-    /// Annotation-store counters so far (all zero until the first depth
-    /// group runs through the sweep kernel).
+    /// Annotation-store counters so far (all zero until the first batch
+    /// simulates a cell).
     pub fn annotation_stats(&self) -> pipedepth_sim::AnnotateStats {
         self.annotations.stats()
     }
@@ -271,8 +241,8 @@ impl Runner {
             .add(pending.len() as u64);
 
         let staged = self.pre_stage(&pending);
-        let items = self.plan_items(&pending, &staged);
-        let computed = self.execute_items(&pending, &items);
+        let groups = self.plan_groups(&pending, &staged);
+        let computed = self.execute_groups(&pending, &groups);
         self.flush_memo_hits();
 
         for (((key, spec), slots), report) in pending.into_iter().zip(waiters).zip(computed) {
@@ -300,15 +270,10 @@ impl Runner {
     /// distinct stream counts an arena miss (the one generation); each
     /// executed cell's lookup then counts a hit — so the counters are
     /// deterministic for any thread count, and workers never generate.
-    /// Returns each cell's request key and staged stream (one entry per
-    /// pending cell, `None` without an arena), so the sweep-kernel
-    /// planner can annotate without extra arena traffic — and without
-    /// recomputing a single fingerprint, keeping the memo-hit counter
-    /// identical whether or not the kernel is enabled.
+    /// Returns each pending cell's request key and staged stream, so the
+    /// planner can annotate without extra arena traffic or a second
+    /// fingerprint.
     fn pre_stage(&self, pending: &[(u64, CellSpec)]) -> Vec<StagedCell> {
-        let Some(arena) = &self.arena else {
-            return vec![None; pending.len()];
-        };
         let mut by_key: BTreeMap<u64, Arc<[Instruction]>> = BTreeMap::new();
         pending
             .iter()
@@ -322,28 +287,25 @@ impl Runner {
                 let trace = by_key
                     .entry(key)
                     .or_insert_with(|| {
-                        arena.get_or_generate(request.model, request.seed, request.len)
+                        self.arena
+                            .get_or_generate(request.model, request.seed, request.len)
                     })
                     .clone();
-                Some((key, trace))
+                (key, trace)
             })
             .collect()
     }
 
-    /// Partitions the pending cells into schedulable work items. With the
-    /// sweep kernel enabled (and the arena present), cells that differ
-    /// only in pipeline depth become one [`WorkItem::Group`] sharing one
-    /// annotation — annotated here, serially, so the annotation-store
-    /// counters are deterministic for any thread count. Everything else
-    /// stays a [`WorkItem::Cell`] on the stage engine.
+    /// Partitions the pending cells into depth groups: cells that differ
+    /// only in pipeline depth share one [`Group`] and one annotation, and a
+    /// cell with no depth mates is a one-lane group. Annotation runs here,
+    /// serially, so the annotation-store counters are deterministic for
+    /// any thread count.
     ///
     /// Grouping compares cells structurally ([`PartialEq`] with the depth
-    /// field neutralised) rather than by hash, so enabling the kernel
-    /// changes no fingerprint or cache-counter accounting.
-    fn plan_items(&self, pending: &[(u64, CellSpec)], staged: &[StagedCell]) -> Vec<WorkItem> {
-        if !self.sweep_kernel || self.arena.is_none() {
-            return (0..pending.len()).map(WorkItem::Cell).collect();
-        }
+    /// field neutralised) rather than by hash, so it changes no
+    /// fingerprint or cache-counter accounting.
+    fn plan_groups(&self, pending: &[(u64, CellSpec)], staged: &[StagedCell]) -> Vec<Group> {
         let mates = |a: &CellSpec, b: &CellSpec| {
             a.model == b.model
                 && a.trace_seed == b.trace_seed
@@ -352,7 +314,7 @@ impl Runner {
                 && SimConfig { depth: 0, ..a.sim } == SimConfig { depth: 0, ..b.sim }
         };
         let mut assigned = vec![false; pending.len()];
-        let mut items = Vec::new();
+        let mut groups = Vec::new();
         for i in 0..pending.len() {
             if assigned[i] {
                 continue;
@@ -365,46 +327,31 @@ impl Runner {
                     members.push(j);
                 }
             }
-            if members.len() < 2 {
-                items.push(WorkItem::Cell(i));
-                continue;
-            }
             let spec = &pending[i].1;
-            let annotation = staged[i].as_ref().and_then(|(key, trace)| {
+            let (key, trace) = &staged[i];
+            let annotation =
                 self.annotations
-                    .get_or_annotate(*key, trace, spec.sim.cache, spec.sim.predictor)
-                    .ok()
+                    .get_or_annotate(*key, trace, spec.sim.cache, spec.sim.predictor);
+            groups.push(Group {
+                members,
+                annotation,
             });
-            match annotation {
-                Some(annotation) => items.push(WorkItem::Group {
-                    members,
-                    annotation,
-                }),
-                // An unstaged stream or an unannotatable configuration
-                // falls back to the engine path, which shares its
-                // validation and error surface.
-                None => items.extend(members.into_iter().map(WorkItem::Cell)),
-            }
         }
-        items
+        groups
     }
 
-    /// Executes the planned work items, in order when serial, otherwise
-    /// via a shared atomic work index over scoped worker threads. Returns
-    /// one report per pending cell, in pending order.
-    fn execute_items(
-        &self,
-        pending: &[(u64, CellSpec)],
-        items: &[WorkItem],
-    ) -> Vec<Arc<SimReport>> {
-        let workers = self.threads.min(items.len());
+    /// Executes the planned groups, in order when serial, otherwise via a
+    /// shared atomic work index over scoped worker threads. Returns one
+    /// report per pending cell, in pending order.
+    fn execute_groups(&self, pending: &[(u64, CellSpec)], groups: &[Group]) -> Vec<Arc<SimReport>> {
+        let workers = self.threads.min(groups.len());
         let batch_start = Stopwatch::start();
         let busy_before = self.telemetry.counter("runner.worker_busy_us").value();
         let slots: Vec<OnceLock<Arc<SimReport>>> =
             (0..pending.len()).map(|_| OnceLock::new()).collect();
         if workers <= 1 {
-            for item in items {
-                self.execute_item(item, pending, &slots, batch_start);
+            for group in groups {
+                self.execute_group(group, pending, &slots, batch_start);
             }
         } else {
             let next = AtomicUsize::new(0);
@@ -412,10 +359,10 @@ impl Runner {
                 for _ in 0..workers {
                     scope.spawn(|| loop {
                         let i = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(item) = items.get(i) else {
+                        let Some(group) = groups.get(i) else {
                             break;
                         };
-                        self.execute_item(item, pending, &slots, batch_start);
+                        self.execute_group(group, pending, &slots, batch_start);
                     });
                 }
             });
@@ -423,8 +370,8 @@ impl Runner {
         let reports: Vec<Arc<SimReport>> = slots
             .into_iter()
             // analysis: allow(panic-path) — the planner assigns every
-            // pending index to exactly one work item, and workers drain
-            // the shared index past items.len(), so no slot is left unset
+            // pending index to exactly one group, and workers drain the
+            // shared index past groups.len(), so no slot is left unset
             .map(|slot| slot.into_inner().expect("every planned cell executed"))
             .collect();
         if self.telemetry.is_enabled() && !pending.is_empty() {
@@ -440,8 +387,9 @@ impl Runner {
                     .set((busy_us as f64 / (workers.max(1) as f64 * wall_us)).clamp(0.0, 1.0));
             }
             if busy_us > 0 {
-                // Engine throughput over the batch: simulated instructions
-                // (warmup + measured) per worker-busy microsecond = MIPS.
+                // Simulation throughput over the batch: simulated
+                // instructions (warmup + measured) per worker-busy
+                // microsecond = MIPS.
                 let simulated: u64 = pending
                     .iter()
                     .map(|(_, spec)| spec.warmup + spec.instructions)
@@ -454,103 +402,50 @@ impl Runner {
         reports
     }
 
-    /// Simulates one cell over the arena's shared stream, or through the
-    /// streaming path when the arena is disabled.
-    fn simulate(&self, spec: &CellSpec) -> SimReport {
-        match &self.arena {
-            Some(arena) => spec.execute_with(arena, &self.telemetry),
-            None => spec.execute_streaming(&self.telemetry),
-        }
-    }
-
-    /// Runs one cell, recording its queue wait (batch start to pickup) and
-    /// simulation time when telemetry is enabled.
-    fn execute_cell(&self, spec: &CellSpec, queued_at: Stopwatch) -> Arc<SimReport> {
-        if !self.telemetry.is_enabled() {
-            return Arc::new(self.simulate(spec));
-        }
-        let start = Stopwatch::start();
-        self.telemetry
-            .histogram("runner.queue_wait_us", &DEFAULT_TIME_BUCKETS_US)
-            .record(queued_at.elapsed_us());
-        let report = Arc::new(self.simulate(spec));
-        let busy_us = start.elapsed_us();
-        self.telemetry
-            .histogram("runner.cell_time_us", &DEFAULT_TIME_BUCKETS_US)
-            .record(busy_us);
-        self.telemetry
-            .counter("runner.worker_busy_us")
-            .add(busy_us as u64);
-        report
-    }
-
-    /// Executes one work item, filling the result slot of every pending
-    /// cell it covers.
-    fn execute_item(
+    /// Runs one depth group through the sweep kernel — every member lane
+    /// advances through the shared annotation in a single pass — and fills
+    /// each member's result slot. Each member still makes one arena lookup
+    /// and records one queue-wait/cell-time sample, so `trace.arena.hits`
+    /// and the scheduling histograms count once per simulated cell.
+    fn execute_group(
         &self,
-        item: &WorkItem,
+        group: &Group,
         pending: &[(u64, CellSpec)],
         slots: &[OnceLock<Arc<SimReport>>],
         queued_at: Stopwatch,
     ) {
-        match item {
-            WorkItem::Cell(i) => {
-                let report = self.execute_cell(&pending[*i].1, queued_at);
-                // analysis: allow(panic-path) — the planner assigns each
-                // pending index to exactly one work item
-                slots[*i].set(report).expect("each cell planned once");
-            }
-            WorkItem::Group {
-                members,
-                annotation,
-            } => {
-                let reports = self.execute_group(members, annotation, pending, queued_at);
-                for (&i, report) in members.iter().zip(reports) {
-                    // analysis: allow(panic-path) — see the Cell arm
-                    slots[i].set(report).expect("each cell planned once");
-                }
-            }
-        }
-    }
-
-    /// Runs one depth group through the sweep kernel: every member lane
-    /// advances through the shared annotation in a single pass. Arena and
-    /// timing telemetry mirror the per-cell path — one arena lookup and
-    /// one queue-wait/cell-time sample per member — so scheduling counters
-    /// are invariant under the kernel A/B switch.
-    fn execute_group(
-        &self,
-        members: &[usize],
-        annotation: &AnnotatedTrace,
-        pending: &[(u64, CellSpec)],
-        queued_at: Stopwatch,
-    ) -> Vec<Arc<SimReport>> {
         let start = Stopwatch::start();
-        if let Some(arena) = &self.arena {
-            for &i in members {
-                let spec = &pending[i].1;
-                let _ = arena.get_or_generate(spec.model, spec.trace_seed, spec.trace_len());
-            }
+        for &i in &group.members {
+            let spec = &pending[i].1;
+            let _ = self
+                .arena
+                .get_or_generate(spec.model, spec.trace_seed, spec.trace_len());
         }
-        let lead = &pending[members[0]].1;
-        let configs: Vec<SimConfig> = members.iter().map(|&i| pending[i].1.sim).collect();
-        let reports = replay_sweep(
-            annotation,
-            &configs,
-            lead.warmup,
-            lead.instructions,
-            &self.telemetry,
-        )
-        // analysis: allow(panic-path) — the same configurations construct
-        // engines on the per-cell path; annotation already validated the
-        // cache and predictor, and the planner only groups engine-legal
-        // cells
-        .expect("sweep-kernel lanes share the engine's validated configs");
+        let lead = &pending[group.members[0]].1;
+        let configs: Vec<SimConfig> = group.members.iter().map(|&i| pending[i].1.sim).collect();
+        let reports = group
+            .annotation
+            .as_ref()
+            .map_err(Clone::clone)
+            .and_then(|notes| {
+                replay_sweep(
+                    notes,
+                    &configs,
+                    lead.warmup,
+                    lead.instructions,
+                    &self.telemetry,
+                )
+            })
+            // analysis: allow(panic-path) — a cell's machine is a
+            // validated `SimConfig` (the paper builders, or `SimBackend`'s
+            // checked `try_paper`), the precondition `Engine::new` also
+            // asserts, so neither annotation nor replay rejects it
+            .expect("runner cells carry validated machine configurations");
         if self.telemetry.is_enabled() {
             let wait_us = queued_at.elapsed_us();
             let busy_us = start.elapsed_us();
-            let per_cell_us = busy_us / members.len() as f64;
-            for _ in members {
+            let per_cell_us = busy_us / group.members.len() as f64;
+            for _ in &group.members {
                 self.telemetry
                     .histogram("runner.queue_wait_us", &DEFAULT_TIME_BUCKETS_US)
                     .record(wait_us);
@@ -561,12 +456,16 @@ impl Runner {
             self.telemetry.counter("runner.sweep_kernel.groups").inc();
             self.telemetry
                 .counter("runner.sweep_kernel.cells")
-                .add(members.len() as u64);
+                .add(group.members.len() as u64);
             self.telemetry
                 .counter("runner.worker_busy_us")
                 .add(busy_us as u64);
         }
-        reports.into_iter().map(Arc::new).collect()
+        for (&i, report) in group.members.iter().zip(reports.into_iter().map(Arc::new)) {
+            // analysis: allow(panic-path) — the planner assigns each
+            // pending index to exactly one group
+            slots[i].set(report).expect("each cell planned once");
+        }
     }
 
     /// Flushes the delta of the process-global [`WorkloadModel`]
@@ -778,22 +677,13 @@ mod tests {
     }
 
     #[test]
-    fn arena_and_streaming_paths_agree() {
-        let ws = representatives();
-        let cfg = tiny();
-        let with_arena = Runner::serial().sweep_all(&ws, &cfg);
-        let streaming = Runner::serial().without_arena().sweep_all(&ws, &cfg);
-        assert_eq!(with_arena, streaming);
-    }
-
-    #[test]
     fn arena_counters_are_thread_count_invariant() {
         let ws = representatives();
         let cfg = tiny();
         let stats_with = |threads: usize| {
             let runner = Runner::new(threads);
             runner.sweep_all(&ws, &cfg);
-            runner.arena_stats().expect("arena enabled by default")
+            runner.arena_stats()
         };
         let serial = stats_with(1);
         let parallel = stats_with(4);
@@ -802,7 +692,6 @@ mod tests {
         assert_eq!(serial.misses, ws.len() as u64);
         assert_eq!(serial.hits, (ws.len() * cfg.depths.len()) as u64);
         assert!(serial.hit_rate() > 0.7, "hit rate {}", serial.hit_rate());
-        assert!(Runner::serial().without_arena().arena_stats().is_none());
     }
 
     #[test]
@@ -863,33 +752,35 @@ mod tests {
     }
 
     #[test]
-    fn sweep_kernel_matches_the_engine_path_bit_for_bit() {
+    fn runner_matches_the_reference_engine_cell_by_cell() {
+        // The stage engine is the reference the sweep kernel is held to:
+        // multi-lane groups, a one-lane group and a non-default machine
+        // must each reproduce `CellSpec::execute` exactly.
         let ws = representatives();
         let cfg = tiny();
-        let kernel = Runner::serial().sweep_all(&ws, &cfg);
-        let engine = Runner::serial().without_sweep_kernel().sweep_all(&ws, &cfg);
-        assert_eq!(kernel, engine, "--no-sweep-kernel must not change curves");
-    }
-
-    #[test]
-    fn sweep_kernel_preserves_arena_and_cache_counters() {
-        let ws = representatives();
-        let cfg = tiny();
-        let stats = |runner: Runner| {
-            runner.sweep_all(&ws, &cfg);
-            (
-                runner.arena_stats().expect("arena on"),
-                runner.cache_stats().expect("cache on"),
-            )
-        };
-        let (arena_on, cache_on) = stats(Runner::serial());
-        let (arena_off, cache_off) = stats(Runner::serial().without_sweep_kernel());
-        assert_eq!(
-            arena_on, arena_off,
-            "kernel must not perturb arena counters"
-        );
-        assert_eq!(cache_on.hits, cache_off.hits);
-        assert_eq!(cache_on.misses, cache_off.misses);
+        let runner = Runner::new(2);
+        let sweeps: Vec<CellSpec> = ws.iter().flat_map(|w| cells_of(w, &cfg)).collect();
+        let singleton = vec![CellSpec::new(
+            &ws[1],
+            SimConfig::paper(9),
+            cfg.warmup,
+            cfg.instructions,
+        )];
+        let wide = depth_cells(&ws[2], &cfg, &|depth| SimConfig {
+            width: 2,
+            ..SimConfig::paper(depth)
+        });
+        for batch in [sweeps, singleton, wide] {
+            for (cell, report) in batch.iter().zip(runner.run_cells(&batch)) {
+                assert_eq!(
+                    *report,
+                    cell.execute(),
+                    "depth {} width {} diverged from the engine",
+                    cell.sim.depth,
+                    cell.sim.width
+                );
+            }
+        }
     }
 
     #[test]
@@ -919,7 +810,7 @@ mod tests {
 
     #[test]
     #[cfg(feature = "telemetry")]
-    fn singletons_and_disabled_kernel_skip_grouping() {
+    fn singletons_are_one_lane_groups() {
         let ws = representatives();
         let single_depth = RunConfig {
             depths: vec![8],
@@ -929,40 +820,43 @@ mod tests {
         let runner = Runner::serial().with_telemetry(telemetry.clone());
         runner.sweep_all(&ws, &single_depth);
         let snap = telemetry.snapshot();
-        assert_eq!(snap.counter("runner.sweep_kernel.groups"), 0);
-        assert_eq!(snap.counter("runner.sweep_kernel.cells"), 0);
-
-        let telemetry = Telemetry::new();
-        let runner = Runner::serial()
-            .without_sweep_kernel()
-            .with_telemetry(telemetry.clone());
-        runner.sweep_all(&ws, &tiny());
-        let snap = telemetry.snapshot();
-        assert_eq!(snap.counter("runner.sweep_kernel.groups"), 0);
-        assert_eq!(snap.counter("trace.annotate.misses"), 0);
+        assert_eq!(snap.counter("runner.sweep_kernel.groups"), ws.len() as u64);
+        assert_eq!(snap.counter("runner.sweep_kernel.cells"), ws.len() as u64);
+        assert_eq!(snap.counter("trace.annotate.misses"), ws.len() as u64);
     }
 
     #[test]
+    #[cfg(feature = "telemetry")]
     fn kernel_groups_custom_machines_separately() {
         // Width-2 cells group with each other but never with the paper
         // machine: grouping compares the full depth-neutralised config.
-        let runner = Runner::serial();
         let w = &representatives()[0];
         let cfg = tiny();
-        let paper = runner.sweep_workload(w, &cfg);
-        let wide = runner.sweep_workload_with(w, &cfg, |depth| SimConfig {
+        let wide_machine = |depth| SimConfig {
             width: 2,
             ..SimConfig::paper(depth)
-        });
-        let reference = Runner::serial().without_sweep_kernel();
-        assert_eq!(paper, reference.sweep_workload(w, &cfg));
+        };
+        let mut cells = cells_of(w, &cfg);
+        cells.extend(depth_cells(w, &cfg, &wide_machine));
+        let telemetry = Telemetry::new();
+        let runner = Runner::serial().with_telemetry(telemetry.clone());
+        let mixed = runner.run_cells(&cells);
+        let snap = telemetry.snapshot();
+        assert_eq!(snap.counter("runner.sweep_kernel.groups"), 2);
         assert_eq!(
-            wide,
-            reference.sweep_workload_with(w, &cfg, |depth| SimConfig {
-                width: 2,
-                ..SimConfig::paper(depth)
-            })
+            snap.counter("runner.sweep_kernel.cells"),
+            cells.len() as u64
         );
+        // Width does not feed the annotation, so both groups share one.
+        assert_eq!(snap.counter("trace.annotate.misses"), 1);
+        assert_eq!(snap.counter("trace.annotate.hits"), 1);
+        // Sharing a batch changes no report.
+        let apart = Runner::serial();
+        let paper = apart.run_cells(&cells[..cfg.depths.len()]);
+        let wide = apart.run_cells(&cells[cfg.depths.len()..]);
+        for (a, b) in mixed.iter().zip(paper.iter().chain(&wide)) {
+            assert_eq!(**a, **b);
+        }
     }
 
     #[test]

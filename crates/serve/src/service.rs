@@ -4,7 +4,8 @@
 //!
 //! * a **simulation backend** — a [`SimBackend`](pipedepth_experiments::eval::SimBackend) over an owned
 //!   [`Runner`](pipedepth_experiments::runner::Runner) (worker pool, trace arena, report cache), reached through
-//!   the [`BatchQueue`](crate::batch::BatchQueue) so concurrent requests coalesce and batch;
+//!   the [`BatchQueue`](crate::batch::BatchQueue) so concurrent requests coalesce and batch, and each
+//!   batch's depth mates share one annotate + replay pass;
 //! * an **analytic backend** — the closed-form [`AnalyticModel`](pipedepth_core::eval::AnalyticModel), answered
 //!   inline (microseconds, no queue);
 //! * an **outcome cache** — two [`ShardedCache`](pipedepth_core::eval::ShardedCache)s (one per backend, so a
@@ -474,7 +475,10 @@ impl EvalService {
 
     /// The dispatch-worker body: drains batches from the queue into
     /// single [`Evaluator::evaluate_batch`] calls until the queue closes
-    /// and empties. The server runs this on `workers` threads.
+    /// and empties. The runner behind the simulation backend groups each
+    /// batch's depth mates into one annotate + replay pass, so a coalesced
+    /// sweep costs one annotation. The server runs this on `workers`
+    /// threads.
     pub fn dispatch_loop(&self) {
         while let Some(batch) = self.queue.next_batch() {
             let watch = Stopwatch::start();
@@ -486,7 +490,7 @@ impl EvalService {
                 .histogram("serve.batch_size", &BATCH_SIZE_BOUNDS)
                 .record(batch.len() as f64);
             let specs: Vec<CellSpec> = batch.iter().map(|c| c.spec.clone()).collect();
-            let results = self.dispatch_specs(&specs);
+            let results = self.sim.evaluate_batch(&specs);
             // Publish outcomes BEFORE `finish` retires the cells from the
             // coalescing index: `submit_with` probes the cache under the
             // queue lock, so a live-index miss there must already see
@@ -524,73 +528,6 @@ impl EvalService {
                 .gauge("serve.queue_depth")
                 .set(self.queue.depth() as f64);
         }
-    }
-
-    /// Evaluates one drained batch, routing same-workload depth groups
-    /// through [`Evaluator::evaluate_sweep`] — the simulation backend's
-    /// annotate-once / replay-per-depth kernel — so a coalesced sweep
-    /// request costs one annotation and one batched trace pass. Cells
-    /// with no sweep mates in the batch go through one ordinary
-    /// [`Evaluator::evaluate_batch`] dispatch, as before.
-    fn dispatch_specs(&self, specs: &[CellSpec]) -> Vec<Result<EvalOutcome, EvalError>> {
-        // Two cells are sweep mates when they differ only in depth.
-        let mates = |a: &CellSpec, b: &CellSpec| {
-            a.workload == b.workload
-                && a.profile == b.profile
-                && a.warmup == b.warmup
-                && a.instructions == b.instructions
-                && a.leakage_fraction == b.leakage_fraction
-                && a.ref_depth == b.ref_depth
-                && a.latch_growth == b.latch_growth
-        };
-        let mut results: Vec<Option<Result<EvalOutcome, EvalError>>> = vec![None; specs.len()];
-        let mut assigned = vec![false; specs.len()];
-        let mut loners: Vec<usize> = Vec::new();
-        for i in 0..specs.len() {
-            if assigned[i] {
-                continue;
-            }
-            assigned[i] = true;
-            let mut members = vec![i];
-            for j in (i + 1)..specs.len() {
-                if !assigned[j] && mates(&specs[i], &specs[j]) {
-                    assigned[j] = true;
-                    members.push(j);
-                }
-            }
-            if members.len() < 2 {
-                loners.push(i);
-                continue;
-            }
-            let depths: Vec<u32> = members.iter().map(|&j| specs[j].depth).collect();
-            self.telemetry.counter("serve.sweep_kernel.groups").inc();
-            self.telemetry
-                .counter("serve.sweep_kernel.cells")
-                .add(members.len() as u64);
-            for (&j, outcome) in members
-                .iter()
-                .zip(self.sim.evaluate_sweep(&specs[i], &depths))
-            {
-                results[j] = Some(outcome);
-            }
-        }
-        if !loners.is_empty() {
-            let cells: Vec<CellSpec> = loners.iter().map(|&i| specs[i].clone()).collect();
-            for (&i, outcome) in loners.iter().zip(self.sim.evaluate_batch(&cells)) {
-                results[i] = Some(outcome);
-            }
-        }
-        results
-            .into_iter()
-            .map(|r| {
-                r.unwrap_or_else(|| {
-                    Err(EvalError::Backend {
-                        backend: "sim".to_string(),
-                        message: "internal: cell left undispatched".to_string(),
-                    })
-                })
-            })
-            .collect()
     }
 
     /// Stops admitting work; dispatch workers drain and exit.
@@ -853,11 +790,14 @@ mod tests {
             assert_eq!(r.backend, "sim");
             assert!(r.outcome.is_ok());
         }
+        // One dispatch; the runner groups the three depth mates into one
+        // replay pass and runs the loner as a one-lane group.
         let snap = svc.telemetry().snapshot();
-        assert_eq!(snap.counter("serve.sweep_kernel.groups"), 1);
-        assert_eq!(snap.counter("serve.sweep_kernel.cells"), 3);
-        // The seam changes routing, not results: a fresh service answers
-        // the same cells identically through the per-cell path.
+        assert_eq!(snap.counter("serve.dispatches"), 1);
+        assert_eq!(snap.counter("runner.sweep_kernel.groups"), 2);
+        assert_eq!(snap.counter("runner.sweep_kernel.cells"), 4);
+        // Grouping changes routing, not results: a fresh service answers
+        // one of the depths alone, as a one-lane group, identically.
         let reference = service(quick_config());
         let again = with_workers(&reference, || {
             reference

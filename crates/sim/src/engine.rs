@@ -415,41 +415,6 @@ impl Engine {
         self.report()
     }
 
-    /// Slice-mode warmup: the counterpart of [`Engine::warm_up`] for a
-    /// materialised trace (e.g. one resident in a
-    /// [`pipedepth_trace::TraceArena`]). Simulates `trace[..count]` (or
-    /// the whole slice if shorter) with no statistics kept.
-    pub fn warm_up_slice(&mut self, trace: &[Instruction], count: u64) {
-        let n = usize::try_from(count)
-            .unwrap_or(usize::MAX)
-            .min(trace.len());
-        for instr in &trace[..n] {
-            self.step_timing(instr);
-        }
-        let warmed = self.instructions.saturating_sub(self.flushed.instructions);
-        self.telemetry
-            .counter("sim.warmup_instructions")
-            .add(warmed);
-        self.reset_stats();
-    }
-
-    /// Slice-mode run: the hot path for arena-resident traces. Identical
-    /// semantics to [`Engine::run`] over the same instructions — the same
-    /// `SimReport`, cycle for cycle — but instructions are borrowed
-    /// straight from the slice instead of being copied out of an iterator
-    /// one at a time, so a shared `Arc<[Instruction]>` stream can be
-    /// replayed against many configurations with zero per-cell trace cost.
-    pub fn run_slice(&mut self, trace: &[Instruction], count: u64) -> SimReport {
-        let n = usize::try_from(count)
-            .unwrap_or(usize::MAX)
-            .min(trace.len());
-        for instr in &trace[..n] {
-            self.step_timing(instr);
-        }
-        self.flush_telemetry();
-        self.report()
-    }
-
     fn stat_totals(&self) -> StatTotals {
         let predictor = self.front_end.predictor();
         let mut totals = StatTotals {
@@ -562,32 +527,6 @@ mod tests {
             i = i.with_src(Reg::gpr(s));
         }
         i
-    }
-
-    #[test]
-    fn slice_run_matches_streaming_run() {
-        let mut gen =
-            pipedepth_trace::TraceGenerator::new(pipedepth_trace::WorkloadModel::modern_like(), 11);
-        let trace = gen.take_vec(6_000);
-        let mut streaming = Engine::new(SimConfig::paper(14));
-        streaming.warm_up(trace[..2_000].iter().copied(), 2_000);
-        let a = streaming.run(trace[2_000..].iter().copied(), 4_000);
-        let mut sliced = Engine::new(SimConfig::paper(14));
-        sliced.warm_up_slice(&trace, 2_000);
-        let b = sliced.run_slice(&trace[2_000..], 4_000);
-        assert_eq!(a, b, "slice mode must reproduce the streaming report");
-    }
-
-    #[test]
-    fn slice_run_stops_at_slice_end() {
-        let mut gen = pipedepth_trace::TraceGenerator::new(
-            pipedepth_trace::WorkloadModel::spec_int_like(),
-            2,
-        );
-        let trace = gen.take_vec(1_000);
-        let mut e = Engine::new(SimConfig::paper(8));
-        let r = e.run_slice(&trace, 5_000);
-        assert_eq!(r.instructions, 1_000, "count beyond the slice is clamped");
     }
 
     #[test]

@@ -12,7 +12,11 @@
 //! * [`predictor`] — a gshare branch predictor;
 //! * [`cache`] — a two-level set-associative data-cache hierarchy with
 //!   FO4-denominated (absolute-time) miss latencies;
-//! * [`engine`] — the deterministic interval timing engine;
+//! * [`annotate`](mod@annotate) / [`replay`](mod@replay) — the sweep kernel: one depth-invariant
+//!   pass per trace, then a timing-only replay with one lane per depth.
+//!   The experiment runner times every simulated cell this way;
+//! * [`engine`] — the deterministic interval timing engine, the
+//!   reference the sweep kernel reproduces bit for bit;
 //! * [`stage`] — the explicit stage units ([`FrontEnd`], [`HazardUnit`],
 //!   [`IssueStage`], [`ExecCore`]) the engine orchestrates each cycle;
 //! * [`hazard`] — hazard classification and the `γ`/`N_H` accounting;

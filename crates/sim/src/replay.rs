@@ -486,7 +486,7 @@ impl Lane {
 /// Replays an annotation against every configuration in `configs` in one
 /// batched pass: `warmup` instructions of untimed training per lane, then
 /// up to `instructions` measured ones (clamped to the annotation length,
-/// exactly like [`crate::Engine::run_slice`]). Returns one [`SimReport`]
+/// exactly like [`crate::Engine::run`] at the end of its trace). Returns one [`SimReport`]
 /// per configuration, in order — each bit-identical to what a fresh
 /// [`crate::Engine`] produces over the same stream.
 ///
@@ -649,8 +649,8 @@ mod tests {
         let config = SimConfig::paper(14);
         let notes = annotate(&stream, config.cache, config.predictor).expect("valid config");
         let mut engine = Engine::new(config);
-        engine.warm_up_slice(&stream, 2_000);
-        let expected = engine.run_slice(&stream[2_000..], 4_000);
+        engine.warm_up(stream.iter().copied(), 2_000);
+        let expected = engine.run(stream[2_000..].iter().copied(), 4_000);
         let got = replay(&notes, config, 2_000, 4_000).expect("valid config");
         assert_eq!(expected, got);
     }
@@ -719,8 +719,8 @@ mod tests {
         let engine_telemetry = Telemetry::new();
         for &config in &configs {
             let mut engine = Engine::new(config).with_telemetry(engine_telemetry.clone());
-            engine.warm_up_slice(&stream, 1_000);
-            engine.run_slice(&stream[1_000..], 3_000);
+            engine.warm_up(stream.iter().copied(), 1_000);
+            engine.run(stream[1_000..].iter().copied(), 3_000);
         }
 
         let replay_telemetry = Telemetry::new();

@@ -18,7 +18,7 @@
 //! units. The decomposition is *timing-neutral*: every port acquisition,
 //! cache access and hazard record happens in exactly the order the fused
 //! body performed them, so a `SimReport` is bit-identical before and after
-//! the split (pinned by the `slice_equivalence` and differential suites).
+//! the split (pinned by the `exact_timing` and differential suites).
 
 mod exec_core;
 mod front_end;

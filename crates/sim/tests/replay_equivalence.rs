@@ -5,9 +5,9 @@
 //! *bit-identical* to a fresh stage-engine pass over the same stream —
 //! for every workload class, every depth, single-depth and batched
 //! multi-lane replay alike. This is the contract that lets the runner
-//! group a sweep's cells into one annotate + one batched replay
-//! (`--no-sweep-kernel` restores the per-cell engine path) without
-//! perturbing a single figure.
+//! time every cell as a lane of one annotate + one batched replay, with
+//! the stage engine kept as the reference, without perturbing a single
+//! figure.
 
 use pipedepth_sim::annotate::{annotate, AnnotationStore};
 use pipedepth_sim::config::{CacheConfig, Features, IssuePolicy};
@@ -33,7 +33,7 @@ fn classes() -> [(&'static str, WorkloadModel); 4] {
     ]
 }
 
-/// The reference semantics: a fresh stage engine over the slice hot path,
+/// The reference semantics: a fresh stage engine over the stream,
 /// measuring up to `measure` instructions after the warmup.
 fn engine_reference(
     trace: &[Instruction],
@@ -42,8 +42,9 @@ fn engine_reference(
     measure: u64,
 ) -> SimReport {
     let mut engine = Engine::new(config);
-    engine.warm_up_slice(&trace[..warmup as usize], warmup);
-    engine.run_slice(&trace[warmup as usize..], measure)
+    let mut stream = trace.iter().copied();
+    engine.warm_up(&mut stream, warmup);
+    engine.run(stream, measure)
 }
 
 #[test]
@@ -137,8 +138,8 @@ fn warmup_seam_matches_engine_exactly() {
     for warmup in [0u64, 1, 777, 3_999, 4_000, 9_000] {
         let clamped = warmup.min(4_000);
         let mut engine = Engine::new(config);
-        engine.warm_up_slice(&trace, warmup);
-        let reference = engine.run_slice(&trace[clamped as usize..], u64::MAX);
+        engine.warm_up(trace.iter().copied(), warmup);
+        let reference = engine.run(trace[clamped as usize..].iter().copied(), u64::MAX);
         let fast = replay(&notes, config, warmup, u64::MAX).expect("valid config");
         assert_eq!(reference, fast, "warmup seam {warmup} diverged");
     }

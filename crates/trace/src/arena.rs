@@ -6,8 +6,9 @@
 //! arena materialises each distinct `(model, seed, length)` stream exactly
 //! once into an `Arc<[Instruction]>` and hands the same allocation to
 //! every consumer, so trace generation is paid per *workload*, not per
-//! *cell*, and the cycle-level engine (via `run_slice`) becomes the only
-//! per-cell cost.
+//! *cell*. The experiment runner annotates each staged stream once and
+//! replays the annotation at every depth, so timing is the only per-cell
+//! cost.
 //!
 //! The arena is thread-safe. Generation happens under the arena lock, so
 //! two concurrent requests for the same stream can never duplicate work —
