@@ -1,13 +1,13 @@
-//! The shared evaluation-cache abstraction.
+//! The workspace's concurrent result cache.
 //!
-//! The experiment runner grew the first result cache in the workspace (a
-//! single-lock map of finished `SimReport`s); the serving front end needs
-//! the same semantics for `EvalOutcome`s, under far more lock contention.
-//! Both now consume this module: [`EvalCache`] is the trait (content-keyed
-//! lookup with exact-spec collision resolution, saturating service
-//! counters), [`ShardedCache`] the one implementation — N independently
-//! locked shards selected by key, poison-tolerant, values handed out as
-//! [`Arc`](std::sync::Arc)s so concurrent readers never copy.
+//! [`ShardedCache`] is content-keyed lookup with exact-spec collision
+//! resolution and caller-driven hit/miss counters: N independently locked
+//! shards selected by key, poison-tolerant, values handed out as
+//! [`Arc`](std::sync::Arc)s so concurrent readers never copy. The
+//! experiment runner keeps its finished `SimReport`s in one (under a
+//! [`TieredCache`](super::TieredCache) when a persistent store is
+//! attached), and the `pipedepth-serve` service memoises the outcomes it
+//! derives from those reports in another.
 //!
 //! Keys are produced by the spec type's own content hash (the runner's
 //! `CellSpec::key()`, the eval layer's [`CellSpec::key`](super::CellSpec::key));
@@ -45,45 +45,6 @@ impl CacheStats {
     }
 }
 
-/// A concurrent, content-keyed result cache.
-///
-/// `S` is the spec (request) type; `V` the cached value. Implementations
-/// must be usable from many threads at once (`Send + Sync`), must resolve
-/// key collisions by exact spec equality, and must tolerate panicked
-/// writers (lock poisoning must not take the cache down with it).
-///
-/// Hit/miss accounting is the *caller's* responsibility via
-/// [`count_hits`](EvalCache::count_hits) /
-/// [`count_misses`](EvalCache::count_misses): batch consumers like the
-/// experiment runner classify an entire batch first (counting in-batch
-/// coalescing as hits) and only then dispatch, which a get-side counter
-/// could not express.
-pub trait EvalCache<S, V>: Send + Sync {
-    /// Looks up a finished entry without touching the hit/miss counters.
-    fn get(&self, key: u64, spec: &S) -> Option<Arc<V>>;
-
-    /// Stores a finished entry. Returns whether the entry was actually
-    /// inserted (false when an equal spec was already present).
-    fn insert(&self, key: u64, spec: S, value: Arc<V>) -> bool;
-
-    /// Records entries served without recomputation.
-    fn count_hits(&self, n: u64);
-
-    /// Records entries that were computed.
-    fn count_misses(&self, n: u64);
-
-    /// Number of distinct entries stored.
-    fn len(&self) -> usize;
-
-    /// True when no entry has been stored yet.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Current hit/miss/insert counters.
-    fn stats(&self) -> CacheStats;
-}
-
 /// One key's entries; the spec is kept alongside the value to resolve
 /// hash collisions by exact comparison.
 type Bucket<S, V> = Vec<(S, Arc<V>)>;
@@ -102,11 +63,17 @@ pub const DEFAULT_SHARDS: usize = 16;
 /// Locks are poison-tolerant: a panicking writer leaves at worst one
 /// half-inserted bucket entry behind, never an unusable cache.
 ///
+/// Hit/miss counting is the caller's job
+/// ([`count_hits`](Self::count_hits) / [`count_misses`](Self::count_misses)):
+/// the runner classifies a whole batch, counting in-batch duplicates as
+/// hits, before it simulates anything — which a get-side counter could
+/// not express.
+///
 /// # Examples
 ///
 /// ```
 /// use std::sync::Arc;
-/// use pipedepth_core::eval::{EvalCache, ShardedCache};
+/// use pipedepth_core::eval::ShardedCache;
 ///
 /// let cache: ShardedCache<&'static str, u32> = ShardedCache::new();
 /// assert!(cache.get(7, &"spec").is_none());
@@ -174,8 +141,6 @@ impl<S, V> ShardedCache<S, V> {
     }
 }
 
-// Inherent mirrors of the trait methods, so concrete consumers (the
-// runner's `SimCache` alias) can call them without importing the trait.
 impl<S: PartialEq, V> ShardedCache<S, V> {
     /// Looks up a finished entry without touching the hit/miss counters.
     pub fn get(&self, key: u64, spec: &S) -> Option<Arc<V>> {
@@ -273,32 +238,6 @@ impl<S: Clone, V> ShardedCache<S, V> {
     }
 }
 
-impl<S: PartialEq + Send + Sync, V: Send + Sync> EvalCache<S, V> for ShardedCache<S, V> {
-    fn get(&self, key: u64, spec: &S) -> Option<Arc<V>> {
-        ShardedCache::get(self, key, spec)
-    }
-
-    fn insert(&self, key: u64, spec: S, value: Arc<V>) -> bool {
-        ShardedCache::insert(self, key, spec, value)
-    }
-
-    fn count_hits(&self, n: u64) {
-        ShardedCache::count_hits(self, n);
-    }
-
-    fn count_misses(&self, n: u64) {
-        ShardedCache::count_misses(self, n);
-    }
-
-    fn len(&self) -> usize {
-        ShardedCache::len(self)
-    }
-
-    fn stats(&self) -> CacheStats {
-        ShardedCache::stats(self)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -339,14 +278,6 @@ mod tests {
         for key in 0..64u64 {
             assert_eq!(*cache.get(key, &key).expect("present"), key);
         }
-    }
-
-    #[test]
-    fn object_safe_behind_dyn() {
-        let cache: Box<dyn EvalCache<u32, u32>> = Box::new(ShardedCache::new());
-        cache.insert(5, 5, Arc::new(25));
-        assert_eq!(*cache.get(5, &5).expect("stored"), 25);
-        assert!(!cache.is_empty());
     }
 
     #[test]

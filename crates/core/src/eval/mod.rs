@@ -21,9 +21,10 @@
 //!   one annotate-once replay pass);
 //! * [`AnalyticModel`] — the closed-form backend, evaluating the paper's
 //!   extended theory (`τ_total = τ(p) + t_mem`) directly from the profile;
-//! * [`EvalCache`] / [`ShardedCache`] — the concurrent result cache
-//!   shared by the experiment runner and the `pipedepth-serve` service
-//!   (see [`cache`](crate::eval::cache)).
+//! * [`ShardedCache`] / [`TieredCache`] — the concurrent result cache:
+//!   the experiment runner keeps its simulation reports in one, and the
+//!   `pipedepth-serve` service memoises the outcomes it derives from
+//!   them in another (see [`cache`](crate::eval::cache)).
 //!
 //! The simulation backend lives in the experiments crate (the simulator
 //! does not depend on this crate), implementing the same trait, so runners
@@ -34,15 +35,13 @@
 //! workspace — every figure is scale-free or normalised — so outcomes are
 //! comparable *within* a backend and, for CPI/throughput, across backends.
 
-/// Binary codecs for persisting evaluation rows through `pipedepth-store`.
-pub mod blob;
 /// The sharded, backend-agnostic result cache.
 pub mod cache;
 /// The two-tier (memory + warm disk image) cache built on [`cache`].
 pub mod tiered;
 
-/// The cache trait and its sharded implementation (see [`cache`]).
-pub use cache::{CacheStats, EvalCache, ShardedCache};
+/// The sharded cache and its counters (see [`cache`]).
+pub use cache::{CacheStats, ShardedCache};
 /// The tiered cache with promote-on-hit from a warm disk image.
 pub use tiered::TieredCache;
 
@@ -126,7 +125,7 @@ impl CellSpec {
     /// Content hash of the cell: FNV-1a over the workload id and the bit
     /// patterns of every numeric field. No allocation; collisions are
     /// resolved by full [`PartialEq`] comparison wherever the key is used
-    /// (see [`EvalCache`]), so the hash only needs to spread well.
+    /// (see [`ShardedCache`]), so the hash only needs to spread well.
     pub fn key(&self) -> u64 {
         const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
         const PRIME: u64 = 0x0000_0100_0000_01b3;

@@ -14,7 +14,7 @@
 //!
 //! Accounting stays two-level on purpose: the memory tier's counters
 //! keep their historical meaning (the caller classifies batches and
-//! counts hits/misses itself, see [`EvalCache`]), while the warm tier
+//! counts hits/misses itself, see [`ShardedCache`]), while the warm tier
 //! counts its own probe outcomes internally — [`TieredCache::warm_stats`]
 //! is the "served from disk" number the run manifest reports.
 //!
@@ -22,7 +22,7 @@
 //! to the memory tier: a run without `--store` behaves bit-for-bit like
 //! the single-tier cache it replaced.
 
-use super::cache::{CacheStats, EvalCache, ShardedCache};
+use super::cache::{CacheStats, ShardedCache};
 use std::sync::Arc;
 
 /// A memory tier backed by an optional warm (disk-image) tier with
@@ -172,32 +172,6 @@ impl<S: PartialEq + Clone, V> TieredCache<S, V> {
     }
 }
 
-impl<S: PartialEq + Clone + Send + Sync, V: Send + Sync> EvalCache<S, V> for TieredCache<S, V> {
-    fn get(&self, key: u64, spec: &S) -> Option<Arc<V>> {
-        TieredCache::get(self, key, spec)
-    }
-
-    fn insert(&self, key: u64, spec: S, value: Arc<V>) -> bool {
-        TieredCache::insert(self, key, spec, value)
-    }
-
-    fn count_hits(&self, n: u64) {
-        TieredCache::count_hits(self, n);
-    }
-
-    fn count_misses(&self, n: u64) {
-        TieredCache::count_misses(self, n);
-    }
-
-    fn len(&self) -> usize {
-        TieredCache::len(self)
-    }
-
-    fn stats(&self) -> CacheStats {
-        TieredCache::stats(self)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -275,14 +249,5 @@ mod tests {
         entries.sort_unstable();
         assert_eq!(entries, vec![(10, 100), (11, 110), (20, 200), (30, 300)]);
         assert_eq!(cache.len(), 2, "the memory tier alone is unchanged");
-    }
-
-    #[test]
-    fn object_safe_behind_dyn() {
-        let cache: Box<dyn EvalCache<u32, u32>> = Box::new(TieredCache::new());
-        cache.insert(5, 5, Arc::new(25));
-        assert_eq!(*cache.get(5, &5).expect("stored"), 25);
-        assert_eq!(cache.stats().inserts, 1);
-        assert!(!cache.is_empty());
     }
 }

@@ -89,8 +89,8 @@ pub use error::{Error, EvalError};
 /// Backend-agnostic evaluation: the trait, its request/result rows, the
 /// shared result cache, and the closed-form backend.
 pub use eval::{
-    AnalyticModel, CacheStats, CellSpec, EvalCache, EvalOutcome, Evaluator, ShardedCache,
-    TieredCache, WorkloadProfile,
+    AnalyticModel, CacheStats, CellSpec, EvalOutcome, Evaluator, ShardedCache, TieredCache,
+    WorkloadProfile,
 };
 /// The top-level model combining performance, power and the metric.
 pub use metric::PipelineModel;

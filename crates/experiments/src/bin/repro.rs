@@ -34,7 +34,6 @@ struct Options {
     list: bool,
     threads: usize,
     timing_details: bool,
-    no_cache: bool,
     out_dir: PathBuf,
     only: Option<Vec<String>>,
     backend: Backend,
@@ -48,7 +47,6 @@ fn parse_args() -> Options {
         list: false,
         threads: 0,
         timing_details: false,
-        no_cache: false,
         out_dir: PathBuf::from("results"),
         only: None,
         backend: Backend::Sim,
@@ -66,7 +64,6 @@ fn parse_args() -> Options {
             "--quick" => opts.quick = true,
             "--list" => opts.list = true,
             "--timing-details" => opts.timing_details = true,
-            "--no-cache" => opts.no_cache = true,
             "--out" => {
                 opts.out_dir = PathBuf::from(value(&args, i, "--out"));
                 i += 1;
@@ -96,13 +93,11 @@ fn parse_args() -> Options {
                 opts.store = Some(PathBuf::from(value(&args, i, "--store")));
                 i += 1;
             }
-            "--no-store" => opts.store = None,
             other => {
                 eprintln!("unknown argument {other:?}");
                 eprintln!(
                     "usage: repro [--quick] [--out DIR] [--only a,b] [--list] [--threads N] \
-                     [--backend sim|model|both] [--timing-details] [--no-cache] [--store DIR] \
-                     [--no-store]"
+                     [--backend sim|model|both] [--timing-details] [--store DIR]"
                 );
                 exit(2);
             }
@@ -149,9 +144,6 @@ fn main() -> io::Result<()> {
     fs::create_dir_all(&opts.out_dir)?;
     let telemetry = Telemetry::new();
     let mut runner = Runner::new(opts.threads).with_telemetry(telemetry.clone());
-    if opts.no_cache {
-        runner = runner.without_cache();
-    }
     // The persistent store warm-starts the run: previously computed cells
     // become the warm tier of the runner's cache before any fan-out.
     let mut store = None;
@@ -206,7 +198,7 @@ fn main() -> io::Result<()> {
         // Snapshot after the dominant phase: a crash mid-run still leaves
         // the suite sweep warm for the next start. Write-behind, so the
         // next phase starts immediately.
-        if let Some(store) = store.as_mut() {
+        if let Some(store) = &store {
             store.flush_reports_if_simulated(&ctx.runner);
         }
     }
@@ -223,7 +215,7 @@ fn main() -> io::Result<()> {
         for artifact in &out.artifacts {
             fs::write(opts.out_dir.join(&artifact.filename), &artifact.contents)?;
         }
-        if let Some(store) = store.as_mut() {
+        if let Some(store) = &store {
             store.flush_reports_if_simulated(&ctx.runner);
         }
     }
@@ -257,18 +249,15 @@ fn main() -> io::Result<()> {
     for phase in &phases {
         let _ = writeln!(report, "| {} | {:.1?} |", phase.name, phase.wall);
     }
-    let stats = ctx.runner.cache_stats();
-    let cache_line = match &stats {
-        Some(stats) => format!(
-            "simulation cache: {} cells simulated, {} served from cache, {} requested \
-             (hit rate {:.1}%)",
-            stats.misses,
-            stats.hits,
-            stats.requested(),
-            100.0 * stats.hit_rate()
-        ),
-        None => "simulation cache: disabled (--no-cache); every batch re-simulated".to_string(),
-    };
+    let stats = ctx.runner.cache_stats().unwrap_or_default();
+    let cache_line = format!(
+        "simulation cache: {} cells simulated, {} served from cache, {} requested \
+         (hit rate {:.1}%)",
+        stats.misses,
+        stats.hits,
+        stats.requested(),
+        100.0 * stats.hit_rate()
+    );
     let _ = writeln!(report, "\n{cache_line}");
     let arena = ctx.runner.arena_stats();
     let arena_line = format!(
@@ -288,7 +277,7 @@ fn main() -> io::Result<()> {
     let _ = writeln!(report, "\n{kernel_line}");
     // Drain the store's write-behind worker *before* the telemetry
     // snapshot, so the manifest records the final flush counters.
-    let store_stats = store.map(|mut s| {
+    let store_stats = store.map(|s| {
         s.record_warm(ctx.runner.warm_report_stats());
         s.finish()
     });
@@ -389,6 +378,6 @@ fn print_timing_details(manifest: &Manifest) {
         println!("  worker utilization (last batch): {:.0}%", 100.0 * u);
     }
     if let Some(mips) = manifest.metrics.gauge("runner.sim_mips") {
-        println!("  engine throughput (last batch): {mips:.2} MIPS");
+        println!("  simulation throughput (annotate + replay, last batch): {mips:.2} MIPS");
     }
 }

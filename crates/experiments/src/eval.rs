@@ -261,6 +261,17 @@ impl<R: Borrow<Runner>> SimBackend<R> {
         self.runner.borrow()
     }
 
+    /// The outcome of `cell` if the runner's cache already holds its
+    /// report, derived with the cell's own power calibration; `None` when
+    /// the cell would have to be simulated (or is invalid). Never
+    /// simulates: a cached cell under a new leakage setting is answered
+    /// here, from the same report.
+    pub fn cached(&self, cell: &CellSpec) -> Option<EvalOutcome> {
+        let sim_cell = self.prepare(cell).ok()?;
+        let report = self.runner().cached(&sim_cell)?;
+        Some(outcome_from_report(&report, cell))
+    }
+
     /// Resolves one evaluation cell into a runnable simulation cell,
     /// rejecting unknown workloads and out-of-range machines as values.
     fn prepare(&self, cell: &CellSpec) -> Result<SimCell, EvalError> {
@@ -427,14 +438,16 @@ mod tests {
         let curve = runner.sweep_workload(w, &cfg);
         let backend = SimBackend::with_workloads(&runner, std::slice::from_ref(w));
         for point in &curve.points {
-            let out = backend
-                .evaluate(&cell_for(w, fitted_profile(w), point.depth, &cfg))
-                .expect("swept cells are valid");
+            let cell = cell_for(w, fitted_profile(w), point.depth, &cfg);
+            let out = backend.evaluate(&cell).expect("swept cells are valid");
             assert_eq!(out.cpi, point.cpi, "depth {}", point.depth);
             assert_eq!(out.throughput, point.throughput);
             assert_eq!(out.metric_gated, point.metric_gated);
             assert_eq!(out.metric_ungated, point.metric_ungated);
+            assert_eq!(backend.cached(&cell), Some(out), "answered without a run");
         }
+        let unswept = cell_for(w, fitted_profile(w), 6, &cfg);
+        assert_eq!(backend.cached(&unswept), None, "never simulates");
     }
 
     #[test]
@@ -477,7 +490,7 @@ mod tests {
         assert_eq!(batch.len(), cells.len());
         assert!(batch[1].is_err(), "invalid cell fails as a value");
         // One dispatch: the runner saw exactly the runnable cells, once.
-        let stats = runner.cache_stats().expect("cache enabled by default");
+        let stats = runner.cache_stats().expect("always Some");
         assert_eq!(stats.requested(), cfg.depths.len() as u64);
         for (i, result) in batch.iter().enumerate() {
             if i == 1 {

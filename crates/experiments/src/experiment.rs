@@ -356,7 +356,7 @@ mod tests {
         let curves = ctx.curves();
         assert_eq!(curves.len(), suite().len());
         assert!(curves.iter().all(|c| c.points.len() == 3));
-        let stats = ctx.runner.cache_stats().expect("cache enabled by default");
+        let stats = ctx.runner.cache_stats().expect("always Some");
         assert_eq!(
             (stats.hits, stats.misses),
             (0, 0),

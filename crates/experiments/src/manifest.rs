@@ -50,9 +50,8 @@ pub struct Manifest {
     pub config: RunConfig,
     /// Per-phase wall times, in execution order.
     pub phases: Vec<PhaseTiming>,
-    /// Simulation-cache counters at the end of the run; `None` when the
-    /// cache was disabled (`--no-cache`).
-    pub cache: Option<CacheStats>,
+    /// Simulation-cache counters at the end of the run.
+    pub cache: CacheStats,
     /// Trace-arena counters at the end of the run.
     pub arena: ArenaStats,
     /// Annotation-store counters of the sweep kernel.
@@ -118,18 +117,14 @@ impl Manifest {
             );
         }
         out.push_str("  ],\n");
-        match &self.cache {
-            Some(cache) => {
-                out.push_str("  \"cache\": {\n");
-                let _ = writeln!(out, "    \"hits\": {},", cache.hits);
-                let _ = writeln!(out, "    \"misses\": {},", cache.misses);
-                let _ = writeln!(out, "    \"inserts\": {},", cache.inserts);
-                let _ = writeln!(out, "    \"requested\": {},", cache.requested());
-                let _ = writeln!(out, "    \"hit_rate\": {}", json::number(cache.hit_rate()));
-                out.push_str("  },\n");
-            }
-            None => out.push_str("  \"cache\": null,\n"),
-        }
+        let cache = &self.cache;
+        out.push_str("  \"cache\": {\n");
+        let _ = writeln!(out, "    \"hits\": {},", cache.hits);
+        let _ = writeln!(out, "    \"misses\": {},", cache.misses);
+        let _ = writeln!(out, "    \"inserts\": {},", cache.inserts);
+        let _ = writeln!(out, "    \"requested\": {},", cache.requested());
+        let _ = writeln!(out, "    \"hit_rate\": {}", json::number(cache.hit_rate()));
+        out.push_str("  },\n");
         let arena = &self.arena;
         out.push_str("  \"arena\": {\n");
         let _ = writeln!(out, "    \"hits\": {},", arena.hits);
@@ -209,11 +204,11 @@ mod tests {
                     wall: Duration::from_micros(250),
                 },
             ],
-            cache: Some(CacheStats {
+            cache: CacheStats {
                 hits: 1,
                 misses: 3,
                 inserts: 3,
-            }),
+            },
             arena: ArenaStats {
                 hits: 9,
                 misses: 1,

@@ -7,11 +7,13 @@
 //! lookups. Keys come from [`CellSpec::key`]; collisions are resolved by
 //! exact spec comparison.
 //!
-//! The implementation is no longer private to the runner: it was promoted
-//! to [`pipedepth_core::eval::ShardedCache`] so the `pipedepth-serve`
-//! evaluation service consumes the *same* sharded, poison-tolerant cache
-//! for its `EvalOutcome`s. This module pins the runner's instantiation
-//! (simulation cells mapping to shared [`SimReport`]s) and its tests.
+//! The implementation is the workspace's
+//! [`pipedepth_core::eval::ShardedCache`]. This module pins the runner's
+//! instantiation (simulation cells mapping to shared [`SimReport`]s) and
+//! its tests. The runner's cache is the one cache of simulation results:
+//! `repro` and `pipedepth-serve` persist it through the experiments
+//! store, and the service answers from it, deriving each outcome from
+//! the cached report.
 
 use super::cell::CellSpec;
 use pipedepth_core::eval::ShardedCache;
@@ -28,7 +30,6 @@ pub type SimCache = ShardedCache<CellSpec, SimReport>;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pipedepth_core::eval::EvalCache;
     use pipedepth_sim::SimConfig;
     use pipedepth_workloads::representatives;
     use std::sync::Arc;
@@ -80,18 +81,5 @@ mod tests {
         let stats = cache.stats();
         assert_eq!(stats.requested(), 4);
         assert!((stats.hit_rate() - 0.25).abs() < 1e-12);
-    }
-
-    #[test]
-    fn usable_through_the_eval_cache_trait() {
-        // The serve crate consumes the cache behind the trait; make sure
-        // the runner's instantiation satisfies it too.
-        let cache = SimCache::new();
-        let dyn_cache: &dyn EvalCache<CellSpec, SimReport> = &cache;
-        let s = spec(6);
-        let report = Arc::new(s.execute());
-        assert!(dyn_cache.insert(s.key(), s, report));
-        assert!(dyn_cache.get(s.key(), &s).is_some());
-        assert_eq!(dyn_cache.len(), 1);
     }
 }

@@ -70,10 +70,8 @@ struct Group {
 pub struct Runner {
     threads: usize,
     /// Shared result cache — a memory tier with an optional warm tier
-    /// loaded from a persistent store; `None` re-simulates every cell,
-    /// every batch (the `--no-cache` escape hatch). In-batch duplicates
-    /// still coalesce.
-    cache: Option<TieredCache<CellSpec, SimReport>>,
+    /// loaded from a persistent store.
+    cache: TieredCache<CellSpec, SimReport>,
     telemetry: Telemetry,
     /// Shared trace store: one materialised stream per (model, seed,
     /// length), staged before each batch fans out.
@@ -99,7 +97,7 @@ impl Runner {
         };
         Runner {
             threads,
-            cache: Some(TieredCache::new()),
+            cache: TieredCache::new(),
             telemetry: Telemetry::disabled(),
             arena: TraceArena::new(),
             annotations: AnnotationStore::new(),
@@ -123,23 +121,12 @@ impl Runner {
         self
     }
 
-    /// Disables the result cache: every batch re-simulates its cells (the
-    /// `--no-cache` escape hatch; in-batch duplicates still coalesce). An
-    /// A/B lever for the cache itself and a memory cap for huge sweeps.
-    pub fn without_cache(mut self) -> Self {
-        self.cache = None;
-        self
-    }
-
     /// Attaches a warm tier of finished reports — the decoded image of a
     /// previous run's persistent snapshot. Memory misses then probe the
     /// warm tier and promote hits, so previously computed cells skip
-    /// simulation entirely. No-op under `--no-cache`: a disabled cache
-    /// means *no* reuse, warm or hot.
+    /// simulation entirely.
     pub fn with_warm_reports(mut self, warm: SimCache) -> Self {
-        if let Some(cache) = self.cache.as_mut() {
-            cache.attach_warm(warm);
-        }
+        self.cache.attach_warm(warm);
         self
     }
 
@@ -148,29 +135,34 @@ impl Runner {
         self.threads
     }
 
-    /// Cache hit/miss counters so far; `None` when the cache is disabled.
-    /// These are the memory-tier classification counters the runner has
-    /// always reported — attaching a warm tier does not change them.
+    /// Cache hit/miss counters so far: the memory-tier classification
+    /// counters the runner has always reported — attaching a warm tier
+    /// does not change them. Always `Some`; the `Option` is kept for
+    /// callers that still match on it.
     pub fn cache_stats(&self) -> Option<CacheStats> {
-        self.cache.as_ref().map(TieredCache::stats)
+        Some(self.cache.stats())
     }
 
-    /// Warm-tier probe counters (`None` when the cache is disabled or no
-    /// warm tier is attached): `hits` = cells served from the loaded
-    /// snapshot instead of simulation.
+    /// Warm-tier probe counters (`None` when no warm tier is attached):
+    /// `hits` = cells served from the loaded snapshot instead of
+    /// simulation.
     pub fn warm_report_stats(&self) -> Option<CacheStats> {
-        self.cache.as_ref().and_then(TieredCache::warm_stats)
+        self.cache.warm_stats()
+    }
+
+    /// The finished report of `cell`, if the cache can answer it, without
+    /// simulating anything. Leaves the hit/miss counters alone; a warm-tier
+    /// hit counts as a warm probe and is promoted, as in
+    /// [`run_cells`](Self::run_cells).
+    pub fn cached(&self, cell: &CellSpec) -> Option<Arc<SimReport>> {
+        self.cache.get(cell.key(), cell)
     }
 
     /// A deterministic snapshot of every finished cell the cache can
     /// answer — each cell loaded into the warm tier plus each cell
     /// simulated since — for the persistence layer to encode and publish.
-    /// Empty under `--no-cache`.
     pub fn export_reports(&self) -> Vec<(CellSpec, Arc<SimReport>)> {
-        self.cache
-            .as_ref()
-            .map(TieredCache::entries)
-            .unwrap_or_default()
+        self.cache.entries()
     }
 
     /// Seeds the annotation store from a persistent snapshot, so warm
@@ -217,7 +209,7 @@ impl Runner {
         let mut hits: u64 = 0;
         for (i, cell) in cells.iter().enumerate() {
             let key = cell.key();
-            if let Some(report) = self.cache.as_ref().and_then(|c| c.get(key, cell)) {
+            if let Some(report) = self.cache.get(key, cell) {
                 results[i] = Some(report);
                 hits += 1;
             } else if let Some(j) = pending.iter().position(|(k, c)| *k == key && c == cell) {
@@ -228,10 +220,8 @@ impl Runner {
                 waiters.push(vec![i]);
             }
         }
-        if let Some(cache) = &self.cache {
-            cache.count_hits(hits);
-            cache.count_misses(pending.len() as u64);
-        }
+        self.cache.count_hits(hits);
+        self.cache.count_misses(pending.len() as u64);
         self.telemetry
             .counter("runner.cells_requested")
             .add(cells.len() as u64);
@@ -246,11 +236,7 @@ impl Runner {
         self.flush_memo_hits();
 
         for (((key, spec), slots), report) in pending.into_iter().zip(waiters).zip(computed) {
-            let inserted = match &self.cache {
-                Some(cache) => cache.insert(key, spec, Arc::clone(&report)),
-                None => false,
-            };
-            if inserted {
+            if self.cache.insert(key, spec, Arc::clone(&report)) {
                 self.telemetry.counter("runner.cache_inserts").inc();
             }
             for i in slots {
@@ -620,38 +606,16 @@ mod tests {
         for (a, b) in first.iter().zip(&again) {
             assert!(Arc::ptr_eq(a, b), "second batch must reuse reports");
         }
-        let stats = runner.cache_stats().expect("cache enabled by default");
+        let stats = runner.cache_stats().expect("always Some");
         assert_eq!(stats.misses, cells.len() as u64);
         assert_eq!(stats.hits, cells.len() as u64);
         assert!((stats.hit_rate() - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn disabled_cache_re_simulates_but_matches() {
-        let runner = Runner::serial().without_cache();
-        assert!(runner.cache_stats().is_none());
-        let cells = cells_of(&representatives()[0], &tiny());
-        let first = runner.run_cells(&cells);
-        let again = runner.run_cells(&cells);
-        for (a, b) in first.iter().zip(&again) {
-            assert!(!Arc::ptr_eq(a, b), "no cache means fresh reports");
-            assert_eq!(**a, **b, "results must still be deterministic");
-        }
-        let cached = Runner::serial().run_cells(&cells);
-        for (a, b) in first.iter().zip(&cached) {
-            assert_eq!(**a, **b, "cache must not change results");
-        }
-    }
-
-    #[test]
-    fn disabled_cache_still_coalesces_within_a_batch() {
-        let runner = Runner::serial().without_cache();
-        let base = cells_of(&representatives()[0], &tiny());
-        let doubled: Vec<CellSpec> = base.iter().chain(base.iter()).copied().collect();
-        let reports = runner.run_cells(&doubled);
-        for (a, b) in reports[..base.len()].iter().zip(&reports[base.len()..]) {
-            assert!(Arc::ptr_eq(a, b), "in-batch duplicates share one run");
-        }
+        // A lookup answers from the cache without simulating or counting.
+        let hit = runner.cached(&cells[0]).expect("simulated above");
+        assert!(Arc::ptr_eq(&hit, &first[0]));
+        let unseen = CellSpec::new(&representatives()[1], SimConfig::paper(4), 2_000, 4_000);
+        assert!(runner.cached(&unseen).is_none());
+        assert_eq!(runner.cache_stats(), Some(stats));
     }
 
     #[test]
@@ -660,7 +624,7 @@ mod tests {
         let base = cells_of(&representatives()[0], &tiny());
         let doubled: Vec<CellSpec> = base.iter().chain(base.iter()).copied().collect();
         let reports = runner.run_cells(&doubled);
-        let stats = runner.cache_stats().expect("cache enabled by default");
+        let stats = runner.cache_stats().expect("always Some");
         assert_eq!(stats.misses, base.len() as u64);
         for (a, b) in reports[..base.len()].iter().zip(&reports[base.len()..]) {
             assert!(Arc::ptr_eq(a, b));
@@ -870,7 +834,7 @@ mod tests {
             ..SimConfig::paper(depth)
         });
         assert_ne!(paper.points, wide.points);
-        let stats = runner.cache_stats().expect("cache enabled by default");
+        let stats = runner.cache_stats().expect("always Some");
         assert_eq!(stats.misses, 2 * cfg.depths.len() as u64);
     }
 }

@@ -1,8 +1,9 @@
 //! The persistent evaluation store behind `--store`: warm-starts a run
-//! from the snapshot a previous run published.
+//! or a server from the snapshot a previous one published.
 //!
-//! [`RunStore`] is the experiments-side owner of the `pipedepth-store`
-//! namespaces under one directory:
+//! [`RunStore`] is the workspace's one owner of `pipedepth-store`
+//! namespaces — `repro --store` and `pipedepth-serve --store` both go
+//! through it, so a directory one of them warmed warms the other:
 //!
 //! * `sim_reports` — every finished simulation cell, as a
 //!   ([`CellSpec`], [`SimReport`]) record. Loaded records become the
@@ -10,8 +11,10 @@
 //!   [`TieredCache`](pipedepth_core::eval::TieredCache): memory misses
 //!   probe the decoded image and promote hits, so previously computed
 //!   cells skip simulation entirely. This is the only namespace `repro`
-//!   reads and writes: a run persists its answers, not the
-//!   intermediates that produced them.
+//!   and the server read and write: they persist answers, not the
+//!   intermediates that produced them. A report is kept rather than
+//!   any outcome derived from it because every power calibration and
+//!   `BIPS^m/W` variant is priced from the same report.
 //! * `annotations` — the depth-invariant annotate-once columns, as an
 //!   ([`AnnotationKey`], [`AnnotatedTrace`]) record. `repro` neither
 //!   loads nor publishes it; [`RunStore::load_annotations`] and
@@ -38,9 +41,11 @@
 //! calling thread (no locks held — the cache's `entries()` drops its
 //! shard guards before returning) and hands encoding plus the atomic
 //! temp-file-and-rename publish to the store's [`Flusher`] worker, so
-//! the hot loop never blocks on I/O. [`RunStore::finish`] drains the
-//! worker and returns the deterministic [`StoreStats`] the manifest
-//! records.
+//! the hot loop never blocks on I/O. Every method after loading takes
+//! `&self`, so a shared (`Arc`'d) server publishes and
+//! [`sync`](RunStore::sync)s without extra locking. [`RunStore::finish`]
+//! drains the worker and returns the deterministic [`StoreStats`] the
+//! manifest records.
 
 use crate::manifest::config_digest;
 use crate::runner::{CacheStats, CellSpec, Runner, SimCache};
@@ -147,17 +152,19 @@ pub struct RunStore {
     telemetry: Telemetry,
     flusher: Flusher,
     // Flush-side counters live behind `Arc`s because they are incremented
-    // on the flusher thread; `finish` reads them only after the drain.
+    // on the flusher thread; readers see final values after a drain.
     flushes: Arc<AtomicU64>,
     records_flushed: Arc<AtomicU64>,
     reports_loaded: u64,
     invalid: u64,
-    warm: CacheStats,
+    // Warm-tier probe counters handed over by `record_warm`.
+    warm_hits: AtomicU64,
+    warm_misses: AtomicU64,
     // The runner's simulated-cell count at the last report publish
     // (advanced by `flush_reports_if_simulated`). Republishing when
     // nothing was simulated costs an export and a full re-encode for
     // zero new durability, so a fully warm run publishes nothing.
-    simulated_published: u64,
+    simulated_published: AtomicU64,
 }
 
 impl std::fmt::Debug for RunStore {
@@ -195,8 +202,9 @@ impl RunStore {
             records_flushed: Arc::new(AtomicU64::new(0)),
             reports_loaded: 0,
             invalid: 0,
-            warm: CacheStats::default(),
-            simulated_published: 0,
+            warm_hits: AtomicU64::new(0),
+            warm_misses: AtomicU64::new(0),
+            simulated_published: AtomicU64::new(0),
         }
     }
 
@@ -339,11 +347,14 @@ impl RunStore {
     /// gate (its memory-tier `misses` counter counts them). The per-phase
     /// republish discipline then costs nothing on phases that simulated
     /// nothing, and a fully warm run never builds a snapshot at all.
-    /// Without a cache the runner counts nothing, so nothing is published.
-    pub fn flush_reports_if_simulated(&mut self, runner: &Runner) {
+    /// Callers racing through the gate publish at most once per count.
+    pub fn flush_reports_if_simulated(&self, runner: &Runner) {
         let simulated = runner.cache_stats().map_or(0, |stats| stats.misses);
-        if simulated > self.simulated_published {
-            self.simulated_published = simulated;
+        if self
+            .simulated_published
+            .fetch_max(simulated, Ordering::Relaxed)
+            < simulated
+        {
             self.flush_reports(runner.export_reports());
         }
     }
@@ -384,12 +395,32 @@ impl RunStore {
 
     /// Records the warm-tier probe counters of the finished run (from
     /// [`Runner::warm_report_stats`](crate::runner::Runner::warm_report_stats)).
-    pub fn record_warm(&mut self, stats: Option<CacheStats>) {
-        if let Some(stats) = stats {
-            self.warm = stats;
-        }
-        self.telemetry.counter("store.hits").add(self.warm.hits);
-        self.telemetry.counter("store.misses").add(self.warm.misses);
+    /// Call once, at the end: the counts also go to telemetry.
+    pub fn record_warm(&self, stats: Option<CacheStats>) {
+        let stats = stats.unwrap_or_default();
+        self.warm_hits.store(stats.hits, Ordering::Relaxed);
+        self.warm_misses.store(stats.misses, Ordering::Relaxed);
+        self.telemetry.counter("store.hits").add(stats.hits);
+        self.telemetry.counter("store.misses").add(stats.misses);
+    }
+
+    /// Report records decoded from a valid snapshot by
+    /// [`load_reports`](Self::load_reports).
+    pub fn reports_loaded(&self) -> u64 {
+        self.reports_loaded
+    }
+
+    /// Snapshots published so far (final only after [`sync`](Self::sync)
+    /// or [`finish`](Self::finish)).
+    pub fn flushes(&self) -> u64 {
+        self.flushes.load(Ordering::Relaxed)
+    }
+
+    /// Waits until every snapshot submitted so far is durably published.
+    /// Needs only `&self`, so a shared owner can force durability at
+    /// drain time; the store keeps accepting flushes afterwards.
+    pub fn sync(&self) {
+        self.flusher.sync();
     }
 
     /// Drains every pending flush and returns the run's store counters.
@@ -398,11 +429,11 @@ impl RunStore {
     pub fn finish(mut self) -> StoreStats {
         self.flusher.shutdown();
         StoreStats {
-            hits: self.warm.hits,
-            misses: self.warm.misses,
+            hits: self.warm_hits.load(Ordering::Relaxed),
+            misses: self.warm_misses.load(Ordering::Relaxed),
             reports_loaded: self.reports_loaded,
             invalid: self.invalid,
-            flushes: self.flushes.load(Ordering::Relaxed),
+            flushes: self.flushes(),
             records_flushed: self.records_flushed.load(Ordering::Relaxed),
         }
     }
@@ -503,7 +534,7 @@ mod tests {
         let curves = runner.sweep_all(ws, cfg);
         store.flush_reports_if_simulated(&runner);
         store.record_warm(runner.warm_report_stats());
-        let simulated = runner.cache_stats().expect("cache enabled").misses;
+        let simulated = runner.cache_stats().expect("always Some").misses;
         (curves, simulated, store.finish())
     }
 

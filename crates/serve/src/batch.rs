@@ -175,12 +175,12 @@ impl BatchQueue {
     /// queue lock for cells missing from the live index: a probe hit
     /// answers the cell with a pre-filled slot instead of enqueuing it.
     ///
-    /// The service passes its outcome cache as the probe. That closes the
+    /// The service passes its cache lookup as the probe. That closes the
     /// window where a dispatch retires a cell from the live index just
-    /// after a caller's pre-submit cache check missed: workers publish
-    /// outcomes to the cache *before* [`finish`](BatchQueue::finish)
-    /// retires the cells (which happens under this same lock), so a
-    /// live-index miss here guarantees the probe sees the result.
+    /// after a caller's pre-submit cache check missed: results reach the
+    /// cache *before* [`finish`](BatchQueue::finish) retires the cells
+    /// (which happens under this same lock), so a live-index miss here
+    /// guarantees the probe sees the result.
     ///
     /// # Errors
     ///

@@ -21,14 +21,12 @@
 //!   unknown-field-tolerant JSON codec ([`json`]);
 //! * [`batch`] — single-flight coalescing of identical cells, bounded
 //!   admission (429 + `Retry-After` on overload), batch dispatch;
-//! * [`service`] — backend selection, the per-backend sharded outcome
-//!   cache (the same [`ShardedCache`](pipedepth_core::eval::ShardedCache)
-//!   the repro driver's runner uses), and deadline handling: `auto`
-//!   requests degrade to the closed-form model when the budget rules
-//!   simulation out;
-//! * [`store`] — the persistent outcome store behind `--store`: a
-//!   restarted server warm-starts its simulation cache from the snapshot
-//!   the previous process published at drain;
+//! * [`service`] — backend selection, answers from the embedded runner's
+//!   report cache (the one cache of simulation results, persisted under
+//!   `--store` through the same store `repro --store` writes, so either
+//!   program warms the other), and deadline handling: `auto` requests
+//!   degrade to the closed-form model when the budget rules simulation
+//!   out;
 //! * [`http`] + [`server`] — a minimal bounded HTTP/1.1 front end with
 //!   ordered graceful shutdown.
 //!
@@ -56,8 +54,6 @@ pub mod json;
 pub mod server;
 /// Backends, caching, deadlines and dispatch.
 pub mod service;
-/// The persistent outcome store behind `--store` (warm restarts).
-pub mod store;
 /// Versioned wire request/response types.
 pub mod wire;
 

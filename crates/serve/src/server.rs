@@ -102,7 +102,7 @@ impl Server {
         for handle in dispatchers {
             let _ = handle.join();
         }
-        // With the dispatchers joined no new outcomes can appear, so the
+        // With the dispatchers joined no new reports can appear, so the
         // store's final snapshot is complete; sync it to disk before
         // reporting, so a drained server is restartable from this state.
         self.service.finish_store();

@@ -5,13 +5,22 @@
 //! * a **simulation backend** — a [`SimBackend`](pipedepth_experiments::eval::SimBackend) over an owned
 //!   [`Runner`](pipedepth_experiments::runner::Runner) (worker pool, trace arena, report cache), reached through
 //!   the [`BatchQueue`](crate::batch::BatchQueue) so concurrent requests coalesce and batch, and each
-//!   batch's depth mates share one annotate + replay pass;
+//!   batch's depth mates share one annotate + replay pass. The runner's
+//!   report cache is the service's only cache of simulation results: a
+//!   cell whose report it holds is answered by deriving the outcome from
+//!   that report, under the cell's own power calibration, with no
+//!   dispatch;
 //! * an **analytic backend** — the closed-form [`AnalyticModel`](pipedepth_core::eval::AnalyticModel), answered
-//!   inline (microseconds, no queue);
-//! * an **outcome cache** — two [`ShardedCache`](pipedepth_core::eval::ShardedCache)s (one per backend, so a
-//!   degraded analytic answer can never shadow a simulation result) keyed
-//!   by [`CellSpec::key`](pipedepth_core::eval::CellSpec::key), the same cache type the repro driver's runner
-//!   uses for simulation reports;
+//!   inline (microseconds, no queue, nothing cached);
+//! * an **outcome memo** — an in-memory [`ShardedCache`](pipedepth_core::eval::ShardedCache) of the outcomes
+//!   derived from the runner's reports, keyed by
+//!   [`CellSpec::key`](pipedepth_core::eval::CellSpec::key), so a repeated cell costs one probe instead of
+//!   a fresh derivation. It is never persisted and holds nothing the
+//!   runner's cache could not rebuild;
+//! * a **persistent store** (`--store`) — the experiments
+//!   [`RunStore`](pipedepth_experiments::store::RunStore) that `repro --store` writes: it warm-starts the
+//!   runner's cache and receives its snapshots, so a directory either
+//!   program warmed answers the other's cells from disk;
 //! * **deadline handling** — a per-request budget; `auto` requests degrade
 //!   to the analytic model when the budget rules simulation out (either up
 //!   front, via a running instructions-per-microsecond estimate, or after
@@ -22,16 +31,14 @@
 //! threads that loop on [`EvalService::dispatch_loop`].
 
 use crate::batch::{BatchQueue, Shed};
-use crate::store::OutcomeStore;
 use crate::wire::v1::{
     CellResult, EvaluateRequest, EvaluateResponse, OptimumResponse, WireBackend,
 };
-use pipedepth_core::eval::{
-    AnalyticModel, CellSpec, EvalOutcome, Evaluator, ShardedCache, TieredCache,
-};
+use pipedepth_core::eval::{AnalyticModel, CellSpec, EvalOutcome, Evaluator, ShardedCache};
 use pipedepth_core::EvalError;
 use pipedepth_experiments::eval::{cell_for, fitted_profile, SimBackend};
 use pipedepth_experiments::runner::Runner;
+use pipedepth_experiments::store::RunStore;
 use pipedepth_experiments::sweep::RunConfig;
 use pipedepth_telemetry::{Stopwatch, Telemetry, DEFAULT_TIME_BUCKETS_US};
 use pipedepth_workloads::{suite, Workload};
@@ -65,13 +72,10 @@ pub struct ServiceConfig {
     /// When set, pins every request to this backend regardless of what
     /// the request asked for (the `--backend` flag).
     pub backend: Option<WireBackend>,
-    /// Whether the outcome cache (and the runner's report cache) are on.
-    pub cache: bool,
-    /// When set, the directory of the persistent outcome store: the
-    /// simulation cache warm-starts from its snapshot and the service
-    /// snapshots back into it (periodically and at drain). Ignored when
-    /// `cache` is off — the store is a tier below the cache, not a
-    /// replacement for it.
+    /// When set, the directory of the persistent store (the one `repro
+    /// --store` uses): the runner's report cache warm-starts from its
+    /// snapshot and the service snapshots back into it (periodically and
+    /// at drain).
     pub store: Option<std::path::PathBuf>,
     /// Template run configuration: sizing and power calibration for cells
     /// that do not override them.
@@ -87,35 +91,26 @@ impl Default for ServiceConfig {
             batch_max: 32,
             deadline_ms: 0,
             backend: None,
-            cache: true,
             store: None,
             run: RunConfig::quick(),
         }
     }
 }
 
-/// How many simulation-outcome inserts accumulate between periodic store
+/// How many dispatched cells accumulate between periodic store
 /// snapshots. Deterministic (a count, not a timer) so tests can force a
-/// snapshot by answering exactly this many distinct cells.
+/// snapshot by dispatching exactly this many cells.
 pub const STORE_FLUSH_EVERY: u64 = 64;
-
-/// Per-backend outcome caches. Split by backend so an `auto` request that
-/// degraded to the model can never satisfy a later `sim` request. The
-/// simulation side is tiered: its optional warm tier is the persistent
-/// store's decoded snapshot, probed on memory misses with promote-on-hit.
-/// The model side stays purely in-memory — analytic answers cost
-/// microseconds and are never persisted.
-#[derive(Debug)]
-struct OutcomeCache {
-    sim: TieredCache<CellSpec, EvalOutcome>,
-    model: ShardedCache<CellSpec, EvalOutcome>,
-}
 
 /// The evaluation service. See the module docs for the architecture.
 pub struct EvalService {
     sim: SimBackend,
     model: AnalyticModel,
-    cache: Option<OutcomeCache>,
+    /// Outcomes derived from the runner's reports, keyed by the full
+    /// evaluation cell (profile and power calibration included). Only
+    /// simulation answers enter it, so a degraded analytic answer can
+    /// never shadow one.
+    memo: ShardedCache<CellSpec, EvalOutcome>,
     queue: BatchQueue,
     telemetry: Telemetry,
     by_name: BTreeMap<String, Workload>,
@@ -125,11 +120,11 @@ pub struct EvalService {
     /// Observed simulation throughput in instructions per microsecond,
     /// stored as `f64` bits; 0 until the first dispatch completes.
     rate_bits: AtomicU64,
-    /// The persistent outcome store (`--store`), when configured with the
-    /// cache on. All its runtime methods take `&self`, so the `Arc`'d
-    /// service snapshots and syncs without extra locking.
-    store: Option<OutcomeStore>,
-    /// Simulation-outcome inserts since the last periodic store snapshot.
+    /// The persistent store (`--store`). All its methods after loading
+    /// take `&self`, so the `Arc`'d service snapshots and syncs without
+    /// extra locking.
+    store: Option<RunStore>,
+    /// Cells dispatched since the last periodic store snapshot.
     store_pending: AtomicU64,
 }
 
@@ -137,7 +132,7 @@ impl std::fmt::Debug for EvalService {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("EvalService")
             .field("workloads", &self.by_name.len())
-            .field("cache", &self.cache.is_some())
+            .field("memo", &self.memo.len())
             .field("queue_depth", &self.queue.depth())
             .finish()
     }
@@ -149,29 +144,20 @@ impl EvalService {
     /// `runner.*` and `sim.*` alongside `serve.*`.
     pub fn new(config: ServiceConfig, telemetry: Telemetry) -> Self {
         let mut runner = Runner::new(config.threads.max(1)).with_telemetry(telemetry.clone());
-        if !config.cache {
-            runner = runner.without_cache();
+        // The store's reports become the warm tier of the runner's cache,
+        // keyed by the template run configuration's digest — the digest
+        // `repro` uses for the same configuration.
+        let mut store = None;
+        if let Some(dir) = config.store.as_deref() {
+            let mut s = RunStore::open(dir, &config.run, &telemetry);
+            runner = runner.with_warm_reports(s.load_reports());
+            store = Some(s);
         }
         let workloads = suite();
-        // The persistent store is a tier below the outcome cache: open it
-        // (and warm-start the simulation tier from its snapshot) only when
-        // the cache exists to sit on top of it.
-        let mut store = None;
-        let mut sim_cache = TieredCache::new();
-        if config.cache {
-            if let Some(dir) = config.store.as_deref() {
-                let mut s = OutcomeStore::open(dir, &config.run, &telemetry);
-                sim_cache.attach_warm(s.load());
-                store = Some(s);
-            }
-        }
         EvalService {
             sim: SimBackend::new(Arc::new(runner)),
             model: AnalyticModel::paper(),
-            cache: config.cache.then(|| OutcomeCache {
-                sim: sim_cache,
-                model: ShardedCache::new(),
-            }),
+            memo: ShardedCache::new(),
             queue: BatchQueue::new(config.queue_cap, config.batch_max),
             telemetry,
             by_name: workloads
@@ -261,42 +247,34 @@ impl EvalService {
         Ok(spec)
     }
 
-    /// Answers a request through the analytic model, inline.
+    /// Answers a request through the analytic model, inline. Nothing is
+    /// cached: a closed-form evaluation costs less than a cache probe.
     fn model_result(&self, spec: &CellSpec, degraded: bool) -> CellResult {
         if degraded {
             self.telemetry.counter("serve.degraded").inc();
         }
-        let cached = self
-            .cache
-            .as_ref()
-            .and_then(|c| c.model.get(spec.key(), spec));
-        let outcome = match cached {
-            Some(hit) => {
-                self.telemetry.counter("serve.cache_hits").inc();
-                if let Some(cache) = &self.cache {
-                    cache.model.count_hits(1);
-                }
-                Ok(*hit)
-            }
-            None => {
-                if let Some(cache) = &self.cache {
-                    cache.model.count_misses(1);
-                }
-                let result = self.model.evaluate(spec);
-                if let (Some(cache), Ok(out)) = (&self.cache, &result) {
-                    cache.model.insert(spec.key(), spec.clone(), Arc::new(*out));
-                }
-                result
-            }
-        };
         CellResult {
-            outcome,
+            outcome: self.model.evaluate(spec),
             backend: "model",
             degraded,
         }
     }
 
-    /// The sim/auto path: outcome cache, then the coalescing queue, then
+    /// The simulation outcome of `spec` if it needs no dispatch: from the
+    /// memo, or else derived from a report the runner's cache holds (a
+    /// warm-tier report counts as a warm hit and is promoted) and
+    /// memoised.
+    fn cached(&self, spec: &CellSpec) -> Option<EvalOutcome> {
+        let key = spec.key();
+        if let Some(hit) = self.memo.get(key, spec) {
+            return Some(*hit);
+        }
+        let outcome = self.sim.cached(spec)?;
+        self.memo.insert(key, spec.clone(), Arc::new(outcome));
+        Some(outcome)
+    }
+
+    /// The sim/auto path: cached answers, then the coalescing queue, then
     /// a deadline-bounded wait. `auto` degrades to the model instead of
     /// failing when the deadline rules simulation out.
     fn answer_queued(
@@ -312,32 +290,20 @@ impl EvalService {
         for (i, cell) in cells.iter().enumerate() {
             match cell {
                 Err(e) => results[i] = Some(error_result(e.clone(), "sim")),
-                Ok(spec) => {
-                    let cached = self
-                        .cache
-                        .as_ref()
-                        .and_then(|c| c.sim.get(spec.key(), spec));
-                    match cached {
-                        Some(hit) => {
-                            self.telemetry.counter("serve.cache_hits").inc();
-                            if let Some(cache) = &self.cache {
-                                cache.sim.count_hits(1);
-                            }
-                            results[i] = Some(CellResult {
-                                outcome: Ok(*hit),
-                                backend: "sim",
-                                degraded: false,
-                            });
-                        }
-                        None => {
-                            if let Some(cache) = &self.cache {
-                                cache.sim.count_misses(1);
-                            }
-                            submit_idx.push(i);
-                            submit_specs.push(spec.clone());
-                        }
+                Ok(spec) => match self.cached(spec) {
+                    Some(hit) => {
+                        self.telemetry.counter("serve.cache_hits").inc();
+                        results[i] = Some(CellResult {
+                            outcome: Ok(hit),
+                            backend: "sim",
+                            degraded: false,
+                        });
                     }
-                }
+                    None => {
+                        submit_idx.push(i);
+                        submit_specs.push(spec.clone());
+                    }
+                },
             }
         }
         if submit_specs.is_empty() {
@@ -357,17 +323,12 @@ impl EvalService {
                 }
             }
         }
-        // The probe re-checks the outcome cache under the queue lock, so a
+        // The probe re-checks the caches under the queue lock, so a
         // dispatch completing between the pre-check above and admission
         // still answers from cache instead of re-enqueuing its cells.
         let admitted = self
             .queue
-            .submit_with(&submit_specs, |spec| {
-                self.cache
-                    .as_ref()
-                    .and_then(|c| c.sim.get(spec.key(), spec))
-                    .map(|hit| *hit)
-            })
+            .submit_with(&submit_specs, |spec| self.cached(spec))
             .inspect_err(|_| {
                 self.telemetry.counter("serve.shed").inc();
             })?;
@@ -375,9 +336,6 @@ impl EvalService {
             self.telemetry
                 .counter("serve.cache_hits")
                 .add(admitted.cached);
-            if let Some(cache) = &self.cache {
-                cache.sim.count_hits(admitted.cached);
-            }
         }
         self.telemetry
             .counter("serve.coalesced")
@@ -404,8 +362,8 @@ impl EvalService {
                 }
             };
             results[i] = Some(match waited {
-                // The dispatch worker already published the outcome to the
-                // cache before filling the slot.
+                // The runner cached the report, and the dispatch worker
+                // memoised the outcome, before the slot was filled.
                 Some(Ok(out)) => CellResult {
                     outcome: Ok(out),
                     backend: "sim",
@@ -490,32 +448,28 @@ impl EvalService {
                 .histogram("serve.batch_size", &BATCH_SIZE_BOUNDS)
                 .record(batch.len() as f64);
             let specs: Vec<CellSpec> = batch.iter().map(|c| c.spec.clone()).collect();
+            // The runner caches every report it produces before
+            // `evaluate_batch` returns, so `submit_with`'s probe, run under
+            // the queue lock, sees these cells before `finish` retires them
+            // from the coalescing index. Memoising the outcomes here only
+            // saves their first hit a derivation.
             let results = self.sim.evaluate_batch(&specs);
-            // Publish outcomes BEFORE `finish` retires the cells from the
-            // coalescing index: `submit_with` probes the cache under the
-            // queue lock, so a live-index miss there must already see
-            // these results.
-            let mut inserted = 0u64;
-            if let Some(cache) = &self.cache {
-                for (spec, result) in specs.iter().zip(&results) {
-                    if let Ok(out) = result {
-                        if cache.sim.insert(spec.key(), spec.clone(), Arc::new(*out)) {
-                            inserted += 1;
-                        }
-                    }
+            for (spec, result) in specs.iter().zip(&results) {
+                if let Ok(out) = result {
+                    self.memo.insert(spec.key(), spec.clone(), Arc::new(*out));
                 }
             }
-            if inserted > 0 && self.store.is_some() {
+            if let Some(store) = &self.store {
                 // Deterministic periodic snapshotting: every
-                // `STORE_FLUSH_EVERY` distinct new outcomes, publish the
-                // simulation cache write-behind. Racing dispatchers may both
-                // cross the threshold — an extra snapshot is harmless
-                // (last-writer-wins on one file), a missed one is caught
-                // by the drain-time snapshot.
-                let pending = self.store_pending.fetch_add(inserted, Ordering::Relaxed) + inserted;
-                if pending >= STORE_FLUSH_EVERY {
+                // `STORE_FLUSH_EVERY` dispatched cells, publish the runner's
+                // reports write-behind if it simulated any since the last
+                // publish. Racing dispatchers may both cross the threshold;
+                // the gate publishes at most once per simulated count, and
+                // the drain-time snapshot catches whatever is left.
+                let n = specs.len() as u64;
+                if self.store_pending.fetch_add(n, Ordering::Relaxed) + n >= STORE_FLUSH_EVERY {
                     self.store_pending.store(0, Ordering::Relaxed);
-                    self.snapshot_store();
+                    store.flush_reports_if_simulated(self.sim.runner());
                 }
             }
             let work: f64 = specs
@@ -535,40 +489,23 @@ impl EvalService {
         self.queue.close();
     }
 
-    /// Publishes one write-behind snapshot of every simulation outcome the
-    /// cache can answer: each outcome loaded at startup plus each one
-    /// computed since. The entries are snapshotted here, on the calling
-    /// thread, with every shard guard already dropped — the flusher job
-    /// owns its data outright (lock-order discipline).
-    fn snapshot_store(&self) {
-        if let (Some(store), Some(cache)) = (&self.store, &self.cache) {
-            store.flush(cache.sim.entries());
-        }
-    }
-
-    /// Drain-time store finalisation: one last snapshot of everything the
-    /// server answered, the lifetime warm-tier probe counters, and a sync
+    /// Drain-time store finalisation: one last snapshot of every report
+    /// the runner can answer (each one loaded at startup plus each one
+    /// simulated since), the lifetime warm-tier probe counters, and a sync
     /// that blocks until the backlog is durably published. The server
     /// calls this after the dispatch workers have joined and before the
     /// stats line, so a drained process is always restartable from its
-    /// final state and the line reports true flush counts. A no-op
-    /// without `--store`.
+    /// final state and the line reports true flush counts. The snapshot
+    /// goes through the same simulated-cell gate as the periodic ones, so
+    /// a fully warm session re-encodes nothing and leaves the snapshot on
+    /// disk untouched. A no-op without `--store`.
     pub fn finish_store(&self) {
         let Some(store) = &self.store else {
             return;
         };
-        // Only publish if outcomes arrived since the last periodic
-        // snapshot — a fully warm session (every answer from the loaded
-        // tier) re-encodes nothing and leaves the superset snapshot on
-        // disk untouched.
-        if self.store_pending.swap(0, Ordering::Relaxed) > 0 {
-            self.snapshot_store();
-        }
-        if let Some(cache) = &self.cache {
-            if let Some(stats) = cache.sim.warm_stats() {
-                store.record_warm(stats);
-            }
-        }
+        let runner = self.sim.runner();
+        store.flush_reports_if_simulated(runner);
+        store.record_warm(runner.warm_report_stats());
         store.sync();
     }
 
@@ -629,8 +566,8 @@ impl EvalService {
         );
         if let Some(store) = &self.store {
             line.push_str(&format!(
-                "; store: {} outcome(s) loaded, {} warm hit(s), {} snapshot(s) published",
-                store.loaded(),
+                "; store: {} report(s) loaded, {} warm hit(s), {} snapshot(s) published",
+                store.reports_loaded(),
                 snap.counter("store.hits"),
                 store.flushes(),
             ));
@@ -715,7 +652,7 @@ mod tests {
     }
 
     #[test]
-    fn model_requests_answer_inline_and_cache() {
+    fn model_requests_answer_inline() {
         let svc = service(quick_config());
         let req = request(
             WireBackend::Model,
@@ -732,8 +669,8 @@ mod tests {
             assert!(!r.degraded);
             assert!(r.outcome.as_ref().expect("valid cell").throughput > 0.0);
         }
+        assert_eq!(resp.results[0].outcome, resp.results[1].outcome);
         let snap = svc.telemetry().snapshot();
-        assert_eq!(snap.counter("serve.cache_hits"), 1, "second cell hits");
         assert_eq!(snap.counter("serve.dispatches"), 0, "no sim dispatch");
     }
 
@@ -771,6 +708,26 @@ mod tests {
         assert_eq!(again.results[0].outcome, resp.results[0].outcome);
         let snap = svc.telemetry().snapshot();
         assert!(snap.counter("serve.cache_hits") >= 2);
+        // A new power calibration prices the cached report: no dispatch,
+        // and the same answer a fresh service simulates.
+        let dispatches = snap.counter("serve.dispatches");
+        let leaky = WireCell {
+            leakage_fraction: Some(0.5),
+            ..WireCell::new("legacy-00", 8)
+        };
+        let repriced = svc
+            .evaluate(&request(WireBackend::Sim, None, vec![leaky.clone()]))
+            .expect("cache path never queues");
+        let snap = svc.telemetry().snapshot();
+        assert_eq!(snap.counter("serve.dispatches"), dispatches);
+        let fresh = service(quick_config());
+        let simulated = with_workers(&fresh, || {
+            fresh
+                .evaluate(&request(WireBackend::Sim, None, vec![leaky]))
+                .expect("admitted")
+        });
+        assert_eq!(repriced.results[0].outcome, simulated.results[0].outcome);
+        assert_ne!(repriced.results[0].outcome, resp.results[0].outcome);
     }
 
     #[test]
@@ -1005,7 +962,7 @@ mod tests {
         }
         let snap = warm.telemetry().snapshot();
         assert_eq!(snap.counter("serve.dispatches"), 0, "nothing re-simulated");
-        assert_eq!(snap.counter("store.outcomes_loaded"), 3);
+        assert_eq!(snap.counter("store.reports_loaded"), 3);
         assert_eq!(snap.counter("serve.cache_hits"), 3);
         warm.finish_store();
         let snap = warm.telemetry().snapshot();
@@ -1017,7 +974,7 @@ mod tests {
         assert_eq!(snap.counter("store.invalid"), 0);
 
         // A restart that answers one new cell republishes: its snapshot
-        // keeps the three loaded outcomes it never requested.
+        // keeps the three loaded reports it never requested.
         let grown = service(config.clone());
         with_workers(&grown, || {
             grown
@@ -1037,39 +994,59 @@ mod tests {
             fourth
                 .telemetry()
                 .snapshot()
-                .counter("store.outcomes_loaded"),
+                .counter("store.reports_loaded"),
             4,
-            "every outcome ever answered survives the restarts"
+            "every report ever simulated survives the restarts"
         );
 
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn no_cache_disables_the_store_entirely() {
-        let dir = scratch("nocache");
+    fn repro_warmed_store_answers_figure_cells_without_dispatch() {
+        // A store written the way `repro --store` writes it: the runner
+        // sweeps a figure's cells, then publishes through the same gate.
+        let dir = scratch("repro");
         let mut config = quick_config();
         config.store = Some(dir.clone());
-        config.cache = false;
-        let svc = service(config);
-        let resp = with_workers(&svc, || {
-            svc.evaluate(&request(
-                WireBackend::Sim,
-                None,
-                vec![WireCell::new("fp-01", 9)],
-            ))
-            .expect("admitted")
+        let workload = suite()
+            .into_iter()
+            .find(|w| w.name == "specint-00")
+            .expect("suite workload");
+        let depths = vec![6, 10, 14];
+        let sweep = RunConfig {
+            depths: depths.clone(),
+            ..config.run.clone()
+        };
+        let runner = Runner::serial();
+        runner.sweep_workload(&workload, &sweep);
+        let store = RunStore::open(&dir, &config.run, &Telemetry::disabled());
+        store.flush_reports_if_simulated(&runner);
+        assert_eq!(store.finish().records_flushed, 3);
+
+        let cells: Vec<WireCell> = depths
+            .iter()
+            .map(|&d| WireCell::new("specint-00", d))
+            .collect();
+        let cold = service(quick_config());
+        let reference = with_workers(&cold, || {
+            cold.evaluate(&request(WireBackend::Sim, None, cells.clone()))
+                .expect("admitted")
         });
-        assert!(resp.results[0].outcome.is_ok());
-        svc.finish_store();
-        assert!(
-            !svc.stats_line().contains("store:"),
-            "no store section without a cache to warm"
-        );
-        assert!(
-            !dir.join("outcomes.pds").exists(),
-            "nothing published without a cache"
-        );
+        // No dispatch worker and a zero budget: a cell that is not cached
+        // fails `deadline_exceeded` instead of being simulated.
+        let warm = service(config);
+        let resp = warm
+            .evaluate(&request(WireBackend::Sim, Some(0), cells))
+            .expect("admitted");
+        for (a, b) in resp.results.iter().zip(&reference.results) {
+            assert_eq!(a.outcome, b.outcome, "bit-identical to simulation");
+            assert_eq!(a.backend, "sim");
+        }
+        let snap = warm.telemetry().snapshot();
+        assert_eq!(snap.counter("serve.dispatches"), 0);
+        assert_eq!(snap.counter("store.reports_loaded"), 3);
+        assert_eq!(snap.counter("serve.cache_hits"), 3);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -4,7 +4,7 @@
 //!
 //! One namespace — one file (`<name>.pds` under the store directory) —
 //! holds one snapshot of one record family (simulation reports,
-//! annotations, evaluation outcomes). The layout, all little-endian:
+//! annotations). The layout, all little-endian:
 //!
 //! ```text
 //! magic            4 bytes   "PDS\n"

@@ -6,7 +6,7 @@
 //! `repro`, a CI job, or a restarted `pipedepth-serve` should warm-start
 //! from the previous run's results instead of re-simulating every cell.
 //! This crate provides the durable tier below the in-memory
-//! `EvalCache`/`ShardedCache` layer, with three guarantees:
+//! `ShardedCache`/`TieredCache` layer, with three guarantees:
 //!
 //! * **Never a wrong answer.** Records carry the full spec (not just its
 //!   hash), every payload is covered by an FNV-1a checksum, the file
