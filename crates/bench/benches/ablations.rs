@@ -1,11 +1,9 @@
-//! Ablation benches: regenerate the microarchitectural ablation table
-//! (printing it once) and time each variant's sweep.
+//! Ablation bench: regenerate the microarchitectural ablation table
+//! (printing it once) and time the whole table's sweeps.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, Criterion};
 use pipedepth_bench::bench_config;
-use pipedepth_experiments::ablation::{self, Variant};
-use pipedepth_sim::Engine;
-use pipedepth_trace::TraceGenerator;
+use pipedepth_experiments::ablation;
 use pipedepth_workloads::{suite_class, WorkloadClass};
 use std::hint::black_box;
 
@@ -21,31 +19,9 @@ fn bench_ablation_table(c: &mut Criterion) {
     });
 }
 
-fn bench_variant_engines(c: &mut Criterion) {
-    let w = suite_class(WorkloadClass::Modern)
-        .into_iter()
-        .next()
-        .expect("modern class populated");
-    let mut group = c.benchmark_group("variant_engine");
-    for variant in Variant::ALL {
-        group.bench_with_input(
-            BenchmarkId::from_parameter(format!("{variant}")),
-            &variant,
-            |b, &variant| {
-                b.iter(|| {
-                    let mut engine = Engine::new(variant.config(12));
-                    let mut gen = TraceGenerator::new(w.model, w.trace_seed);
-                    black_box(engine.run(&mut gen, 30_000))
-                })
-            },
-        );
-    }
-    group.finish();
-}
-
 criterion_group! {
     name = ablations;
     config = Criterion::default().sample_size(10);
-    targets = bench_ablation_table, bench_variant_engines
+    targets = bench_ablation_table
 }
 criterion_main!(ablations);

@@ -1,75 +1,14 @@
-//! Simulator micro-benchmarks: engine throughput across depths and
-//! workload classes, plus the cache and predictor substrates in isolation.
+//! Simulator micro-benchmarks: the sweep kernel's annotate and replay
+//! passes, trace generation, and the cache and predictor substrates in
+//! isolation.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use pipedepth_sim::cache::Hierarchy;
 use pipedepth_sim::predictor::Gshare;
-use pipedepth_sim::{
-    annotate, replay, replay_sweep, CacheConfig, Engine, PredictorConfig, SimConfig,
-};
+use pipedepth_sim::{annotate, replay, replay_sweep, CacheConfig, PredictorConfig, SimConfig};
 use pipedepth_telemetry::Telemetry;
-use pipedepth_trace::{TraceArena, TraceGenerator, WorkloadModel};
+use pipedepth_trace::{TraceGenerator, WorkloadModel};
 use std::hint::black_box;
-
-fn bench_engine_depths(c: &mut Criterion) {
-    let mut group = c.benchmark_group("engine_throughput");
-    const N: u64 = 50_000;
-    group.throughput(Throughput::Elements(N));
-    for depth in [2u32, 8, 16, 25] {
-        group.bench_with_input(BenchmarkId::new("specint", depth), &depth, |b, &depth| {
-            b.iter(|| {
-                let mut engine = Engine::new(SimConfig::paper(depth));
-                let mut gen = TraceGenerator::new(WorkloadModel::spec_int_like(), 1);
-                black_box(engine.run(&mut gen, N))
-            })
-        });
-    }
-    group.finish();
-}
-
-fn bench_engine_classes(c: &mut Criterion) {
-    let mut group = c.benchmark_group("engine_by_class");
-    const N: u64 = 50_000;
-    group.throughput(Throughput::Elements(N));
-    for (name, model) in [
-        ("legacy", WorkloadModel::legacy_like()),
-        ("specint", WorkloadModel::spec_int_like()),
-        ("modern", WorkloadModel::modern_like()),
-        ("fp", WorkloadModel::spec_fp_like()),
-    ] {
-        group.bench_function(name, |b| {
-            b.iter(|| {
-                let mut engine = Engine::new(SimConfig::paper(12));
-                let mut gen = TraceGenerator::new(model, 1);
-                black_box(engine.run(&mut gen, N))
-            })
-        });
-    }
-    group.finish();
-}
-
-/// Cost of materialising a stream into the arena (the once-per-workload
-/// price the arena amortises) versus looking a resident one up.
-fn bench_trace_materialization(c: &mut Criterion) {
-    let mut group = c.benchmark_group("trace_materialization");
-    const N: u64 = 100_000;
-    group.throughput(Throughput::Elements(N));
-    group.bench_function("arena_fill", |b| {
-        let mut seed = 0u64;
-        b.iter(|| {
-            // A fresh seed each iteration forces a real materialisation.
-            seed += 1;
-            let arena = TraceArena::new();
-            black_box(arena.get_or_generate(WorkloadModel::modern_like(), seed, N))
-        })
-    });
-    group.bench_function("arena_lookup", |b| {
-        let arena = TraceArena::new();
-        arena.get_or_generate(WorkloadModel::modern_like(), 7, N);
-        b.iter(|| black_box(arena.get_or_generate(WorkloadModel::modern_like(), 7, N)))
-    });
-    group.finish();
-}
 
 fn bench_trace_generation(c: &mut Criterion) {
     let mut group = c.benchmark_group("trace_generation");
@@ -84,27 +23,17 @@ fn bench_trace_generation(c: &mut Criterion) {
     group.finish();
 }
 
-/// Annotate-once vs. a full engine pass, and the replay kernel against
-/// the engine at one depth: the three costs whose ratio justifies the
-/// sweep kernel. `annotate` must sit well below one engine pass (it is
-/// paid once per stream), and `replay` below the engine (it is paid per
-/// depth).
-fn bench_annotate_vs_full(c: &mut Criterion) {
-    let mut group = c.benchmark_group("annotate_vs_full");
+/// The sweep kernel's two passes over one stream: annotate (paid once
+/// per stream) and a one-depth replay (paid per depth lane).
+fn bench_annotate_and_replay(c: &mut Criterion) {
+    let mut group = c.benchmark_group("annotate_and_replay");
     const N: u64 = 50_000;
     group.throughput(Throughput::Elements(N));
-    let arena = TraceArena::new();
-    let trace = arena.get_or_generate(WorkloadModel::spec_int_like(), 1, N);
+    let trace = TraceGenerator::new(WorkloadModel::spec_int_like(), 1).take_vec(N as usize);
     let config = SimConfig::paper(12);
     let notes = annotate(&trace, config.cache, config.predictor).expect("valid configuration");
     group.bench_function("annotate_once", |b| {
         b.iter(|| black_box(annotate(black_box(&trace), config.cache, config.predictor)))
-    });
-    group.bench_function("engine_full_pass", |b| {
-        b.iter(|| {
-            let mut engine = Engine::new(config);
-            black_box(engine.run(black_box(&trace).iter().copied(), N))
-        })
     });
     group.bench_function("replay_one_depth", |b| {
         b.iter(|| black_box(replay(black_box(&notes), config, 0, N)))
@@ -114,12 +43,11 @@ fn bench_annotate_vs_full(c: &mut Criterion) {
 
 /// Batched multi-depth replay: one annotation walk advancing 1/4/8/16
 /// depth lanes. Per-lane cost should fall as lanes amortise the
-/// annotation walk, and even lanes = 1 must beat a full engine pass.
+/// annotation walk.
 fn bench_sweep_kernel_scaling(c: &mut Criterion) {
     let mut group = c.benchmark_group("sweep_kernel_scaling");
     const N: u64 = 50_000;
-    let arena = TraceArena::new();
-    let trace = arena.get_or_generate(WorkloadModel::spec_int_like(), 1, N);
+    let trace = TraceGenerator::new(WorkloadModel::spec_int_like(), 1).take_vec(N as usize);
     let base = SimConfig::paper(2);
     let notes = annotate(&trace, base.cache, base.predictor).expect("valid configuration");
     for lanes in [1usize, 4, 8, 16] {
@@ -186,8 +114,7 @@ fn bench_predictor(c: &mut Criterion) {
 criterion_group! {
     name = simulator;
     config = Criterion::default().sample_size(10);
-    targets = bench_engine_depths, bench_engine_classes, bench_annotate_vs_full, bench_sweep_kernel_scaling,
-              bench_trace_materialization, bench_trace_generation,
+    targets = bench_annotate_and_replay, bench_sweep_kernel_scaling, bench_trace_generation,
               bench_cache, bench_predictor
 }
 criterion_main!(simulator);

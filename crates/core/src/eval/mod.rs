@@ -83,6 +83,13 @@ impl WorkloadProfile {
     }
 }
 
+/// The longest simulated window, `warmup + instructions`, a cell may
+/// request: 111× the full run's 90,000 instructions, and at most 80 MB of
+/// annotation at 8 bytes per instruction. [`CellSpec::validate`] rejects
+/// longer windows, so no request can make a backend allocate without
+/// bound.
+pub const MAX_WINDOW: u64 = 10_000_000;
+
 /// One evaluation request: a workload at a pipeline depth, plus the power
 /// calibration every backend shares.
 #[derive(Debug, Clone, PartialEq)]
@@ -159,7 +166,8 @@ impl CellSpec {
     }
 
     /// Checks the cell for the failure modes every backend rejects:
-    /// unpipelined or zero depth, non-finite profile fields, and a power
+    /// unpipelined or zero depth, a simulated window that overflows or
+    /// exceeds [`MAX_WINDOW`], non-finite profile fields, and a power
     /// calibration outside the model's domain.
     ///
     /// # Errors
@@ -168,6 +176,15 @@ impl CellSpec {
     pub fn validate(&self) -> Result<(), EvalError> {
         if self.depth < 1 {
             return Err(EvalError::invalid("depth must be at least 1 stage"));
+        }
+        if self
+            .warmup
+            .checked_add(self.instructions)
+            .is_none_or(|window| window > MAX_WINDOW)
+        {
+            return Err(EvalError::invalid(format!(
+                "warmup + instructions must not exceed {MAX_WINDOW}"
+            )));
         }
         let finite = [
             ("alpha", self.profile.alpha),
@@ -436,6 +453,22 @@ mod tests {
         bad_leakage.leakage_fraction = 1.5;
         let err = bad_leakage.validate().unwrap_err();
         assert!(err.to_string().contains("leakage_fraction"), "{err}");
+        // A window that wraps, or one past the cap, is rejected before any
+        // backend sizes an allocation from it; the cap itself is valid.
+        let mut wrapping = CellSpec::new("t", profile(), 8);
+        wrapping.warmup = u64::MAX;
+        wrapping.instructions = 5;
+        let mut oversized = CellSpec::new("t", profile(), 8);
+        oversized.instructions = 10_000_000_000_000;
+        for cell in [&wrapping, &oversized] {
+            let err = model.evaluate(cell).unwrap_err();
+            assert_eq!(err.code(), "invalid_cell");
+            assert!(err.to_string().contains("warmup + instructions"), "{err}");
+        }
+        let mut at_cap = CellSpec::new("t", profile(), 8);
+        at_cap.warmup = 1;
+        at_cap.instructions = MAX_WINDOW - 1;
+        assert!(at_cap.validate().is_ok());
     }
 
     #[test]

@@ -38,7 +38,8 @@ use std::sync::Arc;
 /// let warm: ShardedCache<&'static str, u32> = ShardedCache::new();
 /// warm.insert(7, "spec", Arc::new(42));
 ///
-/// let cache = TieredCache::new().with_warm(warm);
+/// let mut cache = TieredCache::new();
+/// cache.attach_warm(warm);
 /// assert_eq!(*cache.get(7, &"spec").unwrap(), 42); // promoted
 /// assert_eq!(cache.warm_stats().unwrap().hits, 1);
 /// assert_eq!(cache.len(), 1, "now resident in the memory tier");
@@ -58,29 +59,9 @@ impl<S, V> TieredCache<S, V> {
         }
     }
 
-    /// An empty cache with an explicit memory shard count.
-    pub fn with_shards(shards: usize) -> Self {
-        TieredCache {
-            memory: ShardedCache::with_shards(shards),
-            warm: None,
-        }
-    }
-
-    /// Attaches a warm tier (builder form).
-    #[must_use]
-    pub fn with_warm(mut self, warm: ShardedCache<S, V>) -> Self {
-        self.warm = Some(warm);
-        self
-    }
-
     /// Attaches a warm tier to an existing cache.
     pub fn attach_warm(&mut self, warm: ShardedCache<S, V>) {
         self.warm = Some(warm);
-    }
-
-    /// True when a warm tier is attached.
-    pub fn has_warm(&self) -> bool {
-        self.warm.is_some()
     }
 }
 
@@ -90,11 +71,6 @@ impl<S: PartialEq + Clone, V> TieredCache<S, V> {
     /// probes nothing could serve.
     pub fn warm_stats(&self) -> Option<CacheStats> {
         self.warm.as_ref().map(ShardedCache::stats)
-    }
-
-    /// Number of entries resident in the warm tier.
-    pub fn warm_len(&self) -> usize {
-        self.warm.as_ref().map_or(0, ShardedCache::len)
     }
 
     /// Looks up an entry: memory tier first, then the warm tier, promoting
@@ -176,20 +152,21 @@ impl<S: PartialEq + Clone, V> TieredCache<S, V> {
 mod tests {
     use super::*;
 
-    fn warm_image(entries: &[(u64, u32, u32)]) -> ShardedCache<u32, u32> {
+    /// A cache whose warm tier holds `entries`.
+    fn warm_cache(entries: &[(u64, u32, u32)]) -> TieredCache<u32, u32> {
         let warm = ShardedCache::new();
         for &(key, spec, value) in entries {
             warm.insert(key, spec, Arc::new(value));
         }
-        warm
+        let mut cache = TieredCache::new();
+        cache.attach_warm(warm);
+        cache
     }
 
     #[test]
     fn passes_through_without_a_warm_tier() {
         let cache: TieredCache<u32, u32> = TieredCache::new();
-        assert!(!cache.has_warm());
         assert!(cache.warm_stats().is_none());
-        assert_eq!(cache.warm_len(), 0);
         assert!(cache.get(1, &10).is_none());
         assert!(cache.insert(1, 10, Arc::new(100)));
         assert_eq!(*cache.get(1, &10).expect("stored"), 100);
@@ -203,9 +180,7 @@ mod tests {
 
     #[test]
     fn warm_hits_promote_into_memory() {
-        let cache = TieredCache::with_shards(4).with_warm(warm_image(&[(7, 70, 700)]));
-        assert!(cache.has_warm());
-        assert_eq!(cache.warm_len(), 1);
+        let cache = warm_cache(&[(7, 70, 700)]);
         assert!(cache.is_empty(), "warm entries are not memory entries");
         assert_eq!(*cache.get(7, &70).expect("warm hit"), 700);
         assert_eq!(cache.len(), 1, "promoted");
@@ -218,7 +193,7 @@ mod tests {
 
     #[test]
     fn warm_misses_are_counted_once_per_probe() {
-        let cache = TieredCache::new().with_warm(warm_image(&[(7, 70, 700)]));
+        let cache = warm_cache(&[(7, 70, 700)]);
         assert!(cache.get(8, &80).is_none());
         assert!(cache.get(7, &71).is_none(), "same key, different spec");
         let warm = cache.warm_stats().expect("attached");
@@ -227,8 +202,7 @@ mod tests {
 
     #[test]
     fn collisions_resolve_by_spec_in_both_tiers() {
-        let warm = warm_image(&[(1, 10, 100), (1, 11, 110)]);
-        let cache = TieredCache::new().with_warm(warm);
+        let cache = warm_cache(&[(1, 10, 100), (1, 11, 110)]);
         assert_eq!(*cache.get(1, &11).expect("collision kept"), 110);
         assert_eq!(*cache.get(1, &10).expect("collision kept"), 100);
         assert_eq!(cache.len(), 2);
@@ -237,8 +211,7 @@ mod tests {
     #[test]
     fn entries_snapshot_loaded_and_computed_entries_once_each() {
         // Key 1 holds two colliding specs; only one of them is promoted.
-        let cache =
-            TieredCache::new().with_warm(warm_image(&[(1, 10, 100), (1, 11, 110), (2, 20, 200)]));
+        let cache = warm_cache(&[(1, 10, 100), (1, 11, 110), (2, 20, 200)]);
         cache.insert(3, 30, Arc::new(300));
         let _ = cache.get(1, &10); // promote one of the three warm entries
         let mut entries: Vec<(u32, u32)> = cache

@@ -259,16 +259,6 @@ fn main() -> io::Result<()> {
         100.0 * stats.hit_rate()
     );
     let _ = writeln!(report, "\n{cache_line}");
-    let arena = ctx.runner.arena_stats();
-    let arena_line = format!(
-        "trace arena: {} streams materialized ({} instructions), {} shared lookups \
-         (hit rate {:.1}%)",
-        arena.misses,
-        arena.instructions_materialized,
-        arena.hits,
-        100.0 * arena.hit_rate()
-    );
-    let _ = writeln!(report, "\n{arena_line}");
     let kernel = ctx.runner.annotation_stats();
     let kernel_line = format!(
         "sweep kernel: {} streams annotated ({} instructions), {} annotation reuses",
@@ -299,7 +289,6 @@ fn main() -> io::Result<()> {
         config: ctx.config.clone(),
         phases,
         cache: stats,
-        arena,
         sweep_kernel: kernel,
         store: store_stats,
         metrics: snapshot,
@@ -313,7 +302,6 @@ fn main() -> io::Result<()> {
     }
 
     println!("\n{cache_line}");
-    println!("{arena_line}");
     println!("{kernel_line}");
     println!("{store_line}");
     println!("data written to {}", opts.out_dir.display());

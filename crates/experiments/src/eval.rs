@@ -223,7 +223,7 @@ pub fn model_curves(workloads: &[Workload], config: &RunConfig) -> Vec<WorkloadC
 }
 
 /// The cycle-accurate [`Evaluator`] backend: adapts the cell [`Runner`]
-/// (worker pool, simulation cache, trace arena) to the backend-agnostic
+/// (worker pool, simulation cache, annotation store) to the backend-agnostic
 /// trait. Outcomes are derived from the [`SimReport`] exactly as the sweep
 /// layer derives its [`DepthPoint`]s, so a `SimBackend` evaluation of a
 /// swept cell reproduces the curve's numbers bit for bit (and hits the
@@ -273,9 +273,16 @@ impl<R: Borrow<Runner>> SimBackend<R> {
     }
 
     /// Resolves one evaluation cell into a runnable simulation cell,
-    /// rejecting unknown workloads and out-of-range machines as values.
+    /// rejecting unknown workloads, out-of-range machines and empty
+    /// measurement windows as values.
     fn prepare(&self, cell: &CellSpec) -> Result<SimCell, EvalError> {
         cell.validate()?;
+        // `validate` cannot check this: analytic cells carry a zero window.
+        if cell.instructions == 0 {
+            return Err(EvalError::invalid(
+                "instructions must be at least 1: a simulation measures at least one instruction",
+            ));
+        }
         let workload = self
             .by_name
             .get(&cell.workload)
@@ -463,14 +470,27 @@ mod tests {
     }
 
     #[test]
-    fn sim_backend_rejects_out_of_range_depths_as_values() {
+    fn sim_backend_rejects_out_of_range_cells_as_values() {
         let runner = Runner::serial();
         let w = &representatives()[0];
         let backend = SimBackend::with_workloads(&runner, std::slice::from_ref(w));
-        let err = backend
-            .evaluate(&cell_for(w, fitted_profile(w), 99, &tiny()))
-            .expect_err("depth 99 is outside the machine's range");
-        assert_eq!(err.code(), "invalid_cell");
+        let cell = |depth: u32, warmup: u64, instructions: u64| CellSpec {
+            warmup,
+            instructions,
+            ..cell_for(w, fitted_profile(w), depth, &tiny())
+        };
+        for bad in [
+            cell(99, 2_000, 4_000), // outside the machine's depth range
+            cell(8, 0, 0),          // nothing to measure
+            cell(8, u64::MAX, 5),   // a window that wraps
+            cell(8, 0, 10_000_000_000_000),
+        ] {
+            let err = backend.evaluate(&bad).expect_err("not simulable");
+            assert_eq!(err.code(), "invalid_cell");
+            assert!(backend.cached(&bad).is_none());
+        }
+        let stats = runner.cache_stats().expect("always Some");
+        assert_eq!(stats.requested(), 0, "no bad cell reached the runner");
     }
 
     #[test]

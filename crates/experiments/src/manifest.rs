@@ -16,7 +16,6 @@ use crate::store::StoreStats;
 use crate::sweep::RunConfig;
 use pipedepth_sim::AnnotateStats;
 use pipedepth_telemetry::{json, Snapshot};
-use pipedepth_trace::ArenaStats;
 use std::fmt::Write as _;
 use std::time::Duration;
 
@@ -29,8 +28,11 @@ use std::time::Duration;
 /// `--store` run, or `null` without one), one line for the same reason:
 /// warm-vs-cold manifest comparisons drop it with a line filter. Version 5
 /// removed `annotations_loaded` from the `store` section: `repro` persists
-/// only simulation reports, so it loads no annotations to count.
-pub const SCHEMA_VERSION: u32 = 5;
+/// only simulation reports, so it loads no annotations to count. Version 6
+/// removed the `arena` section: the runner generates each stream straight
+/// into its annotation, so the `sweep_kernel` section's counters are the
+/// per-stream counters.
+pub const SCHEMA_VERSION: u32 = 6;
 
 /// Wall time of one named phase of a run.
 #[derive(Debug, Clone, PartialEq)]
@@ -52,8 +54,6 @@ pub struct Manifest {
     pub phases: Vec<PhaseTiming>,
     /// Simulation-cache counters at the end of the run.
     pub cache: CacheStats,
-    /// Trace-arena counters at the end of the run.
-    pub arena: ArenaStats,
     /// Annotation-store counters of the sweep kernel.
     pub sweep_kernel: AnnotateStats,
     /// Persistent-store counters; `None` when the run had no `--store`.
@@ -124,18 +124,6 @@ impl Manifest {
         let _ = writeln!(out, "    \"inserts\": {},", cache.inserts);
         let _ = writeln!(out, "    \"requested\": {},", cache.requested());
         let _ = writeln!(out, "    \"hit_rate\": {}", json::number(cache.hit_rate()));
-        out.push_str("  },\n");
-        let arena = &self.arena;
-        out.push_str("  \"arena\": {\n");
-        let _ = writeln!(out, "    \"hits\": {},", arena.hits);
-        let _ = writeln!(out, "    \"misses\": {},", arena.misses);
-        let _ = writeln!(
-            out,
-            "    \"instructions_materialized\": {},",
-            arena.instructions_materialized
-        );
-        let _ = writeln!(out, "    \"requested\": {},", arena.requested());
-        let _ = writeln!(out, "    \"hit_rate\": {}", json::number(arena.hit_rate()));
         out.push_str("  },\n");
         // The whole section stays on ONE line containing `sweep_kernel`, so
         // the warm-vs-cold manifest comparison can delete it (and nothing
@@ -209,11 +197,6 @@ mod tests {
                 misses: 3,
                 inserts: 3,
             },
-            arena: ArenaStats {
-                hits: 9,
-                misses: 1,
-                instructions_materialized: 30_000,
-            },
             sweep_kernel: AnnotateStats {
                 hits: 8,
                 misses: 2,
@@ -242,24 +225,22 @@ mod tests {
     #[test]
     fn renders_schema_version_and_sections() {
         let rendered = manifest().to_json();
-        assert!(rendered.starts_with("{\n  \"schema_version\": 5,\n"));
+        assert!(rendered.starts_with("{\n  \"schema_version\": 6,\n"));
         for needle in [
             "\"config\": {",
             "\"digest\": ",
             "\"phases\": [",
             "\"cache\": {",
-            "\"arena\": {",
-            "\"instructions_materialized\": 30000",
             "\"sweep_kernel\": {\"enabled\": true",
             "\"instructions_annotated\": 12000",
             "\"store\": {\"enabled\": true",
             "\"records_flushed\": 21",
             "\"metrics\": {",
             "\"hit_rate\": 0.25",
-            "\"hit_rate\": 0.9",
         ] {
             assert!(rendered.contains(needle), "missing {needle}");
         }
+        assert!(!rendered.contains("\"arena\""), "schema 6 has no arena");
     }
 
     #[test]

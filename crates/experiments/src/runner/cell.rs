@@ -54,8 +54,8 @@ impl CellSpec {
     }
 
     /// Total trace length the cell consumes: the warmup window plus the
-    /// measured window — the arena materialises exactly this many
-    /// instructions per distinct stream.
+    /// measured window — the runner generates exactly this many
+    /// instructions into each distinct stream's annotation.
     pub fn trace_len(&self) -> u64 {
         self.warmup + self.instructions
     }

@@ -14,20 +14,21 @@
 //! are identical for any thread count; `threads = 1` executes in submission
 //! order on the calling thread.
 //!
-//! Trace production is amortised separately from simulation: the runner
-//! owns a content-addressed [`TraceArena`], and before fanning a batch out
-//! it *pre-stages* every distinct (model, seed, length) stream the batch
-//! needs — serially, on the calling thread. Workers then only ever look
-//! streams up, so no generation work is duplicated, no worker blocks on
-//! another's generation, and the arena's hit/miss counters are identical
-//! for any thread count.
-//!
 //! Every simulated cell is timed by the sweep kernel: the planner groups
-//! the pending cells that differ only in pipeline depth, annotates each
-//! group's stream once ([`AnnotationStore`]), and [`replay_sweep`] advances
-//! every member as one lane of a single pass. A cell with no depth mates is
-//! a one-lane group. The stage engine ([`CellSpec::execute`]) is the
-//! reference the kernel is tested against, not a second production path.
+//! the pending cells that differ only in pipeline depth, asks the
+//! [`AnnotationStore`] for each group's annotation, and [`replay_sweep`]
+//! advances every member as one lane of a single pass. A cell with no
+//! depth mates is a one-lane group. The stage engine
+//! ([`CellSpec::execute`]) is the reference the kernel is tested against,
+//! not a second production path.
+//!
+//! The annotation store is the runner's only per-stream cache. On a miss
+//! it generates the group's (model, seed, length) stream straight into
+//! the annotate pass, so no instruction stream is ever held in memory;
+//! on a hit it generates nothing. The planner runs serially on the
+//! calling thread before any worker starts, so no generation is
+//! duplicated, no worker blocks on another's, and the store's counters
+//! are identical for any thread count.
 
 mod cache;
 mod cell;
@@ -43,15 +44,10 @@ use pipedepth_sim::{
     replay_sweep, AnnotatedTrace, AnnotationKey, AnnotationStore, ConfigError, SimConfig, SimReport,
 };
 use pipedepth_telemetry::{Stopwatch, Telemetry, DEFAULT_TIME_BUCKETS_US};
-use pipedepth_trace::{ArenaStats, Instruction, TraceArena, TraceRequest};
+use pipedepth_trace::TraceRequest;
 use pipedepth_workloads::Workload;
-use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
-
-/// One pending cell's pre-staged inputs: the trace-request key and the
-/// arena-resident stream.
-type StagedCell = (u64, Arc<[Instruction]>);
 
 /// One schedulable unit of a batch: pending cells that differ only in
 /// pipeline depth, replayed as the lanes of one pass over the annotation
@@ -73,11 +69,8 @@ pub struct Runner {
     /// loaded from a persistent store.
     cache: TieredCache<CellSpec, SimReport>,
     telemetry: Telemetry,
-    /// Shared trace store: one materialised stream per (model, seed,
-    /// length), staged before each batch fans out.
-    arena: TraceArena,
     /// Shared annotations, one per (stream, cache, predictor), reused
-    /// across batches exactly as the arena shares streams.
+    /// across batches; the only per-stream state the runner keeps.
     annotations: AnnotationStore,
     /// Watermark of the process-global fingerprint-memo hit counter, so
     /// each batch flushes only its own delta into telemetry.
@@ -99,7 +92,6 @@ impl Runner {
             threads,
             cache: TieredCache::new(),
             telemetry: Telemetry::disabled(),
-            arena: TraceArena::new(),
             annotations: AnnotationStore::new(),
             memo_hits_seen: AtomicU64::new(pipedepth_trace::fingerprint_memo_hits()),
         }
@@ -112,10 +104,9 @@ impl Runner {
     }
 
     /// Attaches a telemetry handle; scheduling counters, per-cell timing
-    /// histograms, arena and annotation counters and the replay/trace
+    /// histograms, annotation and generation counters and the replay
     /// metrics of every executed group report into it.
     pub fn with_telemetry(mut self, telemetry: Telemetry) -> Self {
-        self.arena.attach_telemetry(&telemetry);
         self.annotations.attach_telemetry(&telemetry);
         self.telemetry = telemetry;
         self
@@ -187,13 +178,9 @@ impl Runner {
         self.annotations.export()
     }
 
-    /// Arena service counters so far.
-    pub fn arena_stats(&self) -> ArenaStats {
-        self.arena.stats()
-    }
-
-    /// Annotation-store counters so far (all zero until the first batch
-    /// simulates a cell).
+    /// Annotation-store counters so far — the per-stream counters: each
+    /// miss generated and annotated one stream (all zero until the first
+    /// batch simulates a cell).
     pub fn annotation_stats(&self) -> pipedepth_sim::AnnotateStats {
         self.annotations.stats()
     }
@@ -230,8 +217,7 @@ impl Runner {
             .counter("runner.cells_simulated")
             .add(pending.len() as u64);
 
-        let staged = self.pre_stage(&pending);
-        let groups = self.plan_groups(&pending, &staged);
+        let groups = self.plan_groups(&pending);
         let computed = self.execute_groups(&pending, &groups);
         self.flush_memo_hits();
 
@@ -251,47 +237,16 @@ impl Runner {
             .collect()
     }
 
-    /// Materialises every distinct trace the pending cells need into the
-    /// arena, serially, before any worker starts. First request per
-    /// distinct stream counts an arena miss (the one generation); each
-    /// executed cell's lookup then counts a hit — so the counters are
-    /// deterministic for any thread count, and workers never generate.
-    /// Returns each pending cell's request key and staged stream, so the
-    /// planner can annotate without extra arena traffic or a second
-    /// fingerprint.
-    fn pre_stage(&self, pending: &[(u64, CellSpec)]) -> Vec<StagedCell> {
-        let mut by_key: BTreeMap<u64, Arc<[Instruction]>> = BTreeMap::new();
-        pending
-            .iter()
-            .map(|(_, spec)| {
-                let request = TraceRequest {
-                    model: spec.model,
-                    seed: spec.trace_seed,
-                    len: spec.trace_len(),
-                };
-                let key = request.key();
-                let trace = by_key
-                    .entry(key)
-                    .or_insert_with(|| {
-                        self.arena
-                            .get_or_generate(request.model, request.seed, request.len)
-                    })
-                    .clone();
-                (key, trace)
-            })
-            .collect()
-    }
-
     /// Partitions the pending cells into depth groups: cells that differ
     /// only in pipeline depth share one [`Group`] and one annotation, and a
-    /// cell with no depth mates is a one-lane group. Annotation runs here,
-    /// serially, so the annotation-store counters are deterministic for
-    /// any thread count.
+    /// cell with no depth mates is a one-lane group. Generation and
+    /// annotation run here, serially, so the annotation-store and
+    /// generator counters are deterministic for any thread count.
     ///
     /// Grouping compares cells structurally ([`PartialEq`] with the depth
     /// field neutralised) rather than by hash, so it changes no
     /// fingerprint or cache-counter accounting.
-    fn plan_groups(&self, pending: &[(u64, CellSpec)], staged: &[StagedCell]) -> Vec<Group> {
+    fn plan_groups(&self, pending: &[(u64, CellSpec)]) -> Vec<Group> {
         let mates = |a: &CellSpec, b: &CellSpec| {
             a.model == b.model
                 && a.trace_seed == b.trace_seed
@@ -314,10 +269,14 @@ impl Runner {
                 }
             }
             let spec = &pending[i].1;
-            let (key, trace) = &staged[i];
+            let request = TraceRequest {
+                model: spec.model,
+                seed: spec.trace_seed,
+                len: spec.trace_len(),
+            };
             let annotation =
                 self.annotations
-                    .get_or_annotate(*key, trace, spec.sim.cache, spec.sim.predictor);
+                    .get_or_annotate(request, spec.sim.cache, spec.sim.predictor);
             groups.push(Group {
                 members,
                 annotation,
@@ -390,9 +349,9 @@ impl Runner {
 
     /// Runs one depth group through the sweep kernel — every member lane
     /// advances through the shared annotation in a single pass — and fills
-    /// each member's result slot. Each member still makes one arena lookup
-    /// and records one queue-wait/cell-time sample, so `trace.arena.hits`
-    /// and the scheduling histograms count once per simulated cell.
+    /// each member's result slot. Each member records one
+    /// queue-wait/cell-time sample, so the scheduling histograms count once
+    /// per simulated cell.
     fn execute_group(
         &self,
         group: &Group,
@@ -401,12 +360,6 @@ impl Runner {
         queued_at: Stopwatch,
     ) {
         let start = Stopwatch::start();
-        for &i in &group.members {
-            let spec = &pending[i].1;
-            let _ = self
-                .arena
-                .get_or_generate(spec.model, spec.trace_seed, spec.trace_len());
-        }
         let lead = &pending[group.members[0]].1;
         let configs: Vec<SimConfig> = group.members.iter().map(|&i| pending[i].1.sim).collect();
         let reports = group
@@ -466,7 +419,7 @@ impl Runner {
         let seen = pipedepth_trace::fingerprint_memo_hits();
         let prev = self.memo_hits_seen.swap(seen, Ordering::Relaxed);
         self.telemetry
-            .counter("trace.arena.fingerprint_memo_hits")
+            .counter("trace.fingerprint_memo_hits")
             .add(seen.saturating_sub(prev));
     }
 
@@ -641,24 +594,6 @@ mod tests {
     }
 
     #[test]
-    fn arena_counters_are_thread_count_invariant() {
-        let ws = representatives();
-        let cfg = tiny();
-        let stats_with = |threads: usize| {
-            let runner = Runner::new(threads);
-            runner.sweep_all(&ws, &cfg);
-            runner.arena_stats()
-        };
-        let serial = stats_with(1);
-        let parallel = stats_with(4);
-        assert_eq!(serial, parallel);
-        // One materialisation per workload; every simulated cell then hits.
-        assert_eq!(serial.misses, ws.len() as u64);
-        assert_eq!(serial.hits, (ws.len() * cfg.depths.len()) as u64);
-        assert!(serial.hit_rate() > 0.7, "hit rate {}", serial.hit_rate());
-    }
-
-    #[test]
     fn sweep_all_matches_per_workload_sweeps() {
         let ws = representatives();
         let cfg = tiny();
@@ -697,14 +632,25 @@ mod tests {
             "sim.instructions",
             "sim.predictor.hits",
             "sim.predictor.misses",
+            "trace.generators_created",
             "trace.instructions_generated",
-            "trace.arena.hits",
-            "trace.arena.misses",
-            "trace.arena.instructions_materialized",
+            "trace.annotate.misses",
+            "trace.annotate.instructions_annotated",
         ] {
             assert_eq!(serial.counter(name), parallel.counter(name), "{name}");
             assert!(serial.get(name).is_some(), "{name} missing");
         }
+        // Each stream is generated once, straight into its annotation, and
+        // the cache-hit pass generates nothing.
+        assert_eq!(serial.counter("trace.generators_created"), ws.len() as u64);
+        assert_eq!(
+            serial.counter("trace.generators_created"),
+            serial.counter("trace.annotate.misses")
+        );
+        assert_eq!(
+            serial.counter("trace.instructions_generated"),
+            serial.counter("trace.annotate.instructions_annotated")
+        );
         // Timing histograms observe exactly one sample per simulated cell
         // regardless of scheduling.
         for snap in [&serial, &parallel] {

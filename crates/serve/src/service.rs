@@ -3,7 +3,7 @@
 //! [`EvalService`] is the HTTP-free core of `pipedepth-serve`. It owns
 //!
 //! * a **simulation backend** — a [`SimBackend`](pipedepth_experiments::eval::SimBackend) over an owned
-//!   [`Runner`](pipedepth_experiments::runner::Runner) (worker pool, trace arena, report cache), reached through
+//!   [`Runner`](pipedepth_experiments::runner::Runner) (worker pool, annotation store, report cache), reached through
 //!   the [`BatchQueue`](crate::batch::BatchQueue) so concurrent requests coalesce and batch, and each
 //!   batch's depth mates share one annotate + replay pass. The runner's
 //!   report cache is the service's only cache of simulation results: a
@@ -800,23 +800,43 @@ mod tests {
     #[test]
     fn invalid_cells_fail_as_values_next_to_valid_ones() {
         let svc = service(quick_config());
-        let resp = with_workers(&svc, || {
-            svc.evaluate(&request(
-                WireBackend::Sim,
-                None,
-                vec![
-                    WireCell::new("no-such-workload", 8),
-                    WireCell::new("modern-00", 8),
-                ],
-            ))
-            .expect("admitted")
+        let window = |warmup: u64, instructions: u64| WireCell {
+            warmup: Some(warmup),
+            instructions: Some(instructions),
+            ..WireCell::new("modern-00", 8)
+        };
+        let (resp, after) = with_workers(&svc, || {
+            let resp = svc
+                .evaluate(&request(
+                    WireBackend::Sim,
+                    None,
+                    vec![
+                        WireCell::new("no-such-workload", 8),
+                        WireCell::new("modern-00", 8),
+                        // Nothing to measure, a window that wraps, and one
+                        // too long to allocate.
+                        window(0, 0),
+                        window(u64::MAX, 5),
+                        window(0, 10_000_000_000_000),
+                    ],
+                ))
+                .expect("admitted");
+            // The dispatch worker is still alive to answer the next request.
+            let after = svc
+                .evaluate(&request(
+                    WireBackend::Sim,
+                    None,
+                    vec![WireCell::new("modern-00", 9)],
+                ))
+                .expect("admitted");
+            (resp, after)
         });
-        let err = resp.results[0]
-            .outcome
-            .as_ref()
-            .expect_err("unknown workload");
-        assert_eq!(err.code(), "invalid_cell");
+        for i in [0, 2, 3, 4] {
+            let err = resp.results[i].outcome.as_ref().expect_err("invalid cell");
+            assert_eq!(err.code(), "invalid_cell", "cell {i}");
+        }
         assert!(resp.results[1].outcome.is_ok(), "neighbour unaffected");
+        assert!(after.results[0].outcome.is_ok(), "worker still serving");
     }
 
     #[test]

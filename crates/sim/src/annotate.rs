@@ -26,10 +26,13 @@
 //! contention, miss *penalties in cycles*, queue floors, hazard
 //! attribution) deliberately stays in the per-depth kernel.
 //!
-//! [`AnnotationStore`] is the content-addressed companion of
-//! [`pipedepth_trace::TraceArena`]: one annotation per distinct
+//! [`annotate_stream`] consumes the stream as it is produced, so a caller
+//! never has to hold the instructions themselves. [`AnnotationStore`] is
+//! the workspace's one per-stream cache: one annotation per distinct
 //! `(stream, cache config, predictor config)`, shared by `Arc`, with
-//! `trace.annotate.*` telemetry counters.
+//! `trace.annotate.*` telemetry counters. On a miss it feeds a seeded
+//! [`TraceGenerator`](pipedepth_trace::TraceGenerator) straight into the
+//! pass; on a hit it generates nothing.
 
 use crate::cache::Hierarchy;
 use crate::config::{CacheConfig, ConfigError, PredictorConfig};
@@ -37,7 +40,7 @@ use crate::predictor::Gshare;
 use crate::stage::reg_slot;
 use pipedepth_telemetry::{Counter, Telemetry};
 use pipedepth_trace::isa::{Instruction, OpClass};
-use pipedepth_trace::Fnv64;
+use pipedepth_trace::{Fnv64, TraceGenerator, TraceRequest};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -95,12 +98,8 @@ impl AnnotatedTrace {
 }
 
 /// Runs the engine's cache and predictor model over `trace` once and
-/// returns the depth-invariant annotation.
-///
-/// The pass mirrors the stage engine's event order exactly: per
-/// instruction, the fetch filter first, then the data access, then the
-/// branch observation — so the cache and predictor state evolve exactly as
-/// they do inside [`crate::Engine`] at any depth.
+/// returns the depth-invariant annotation: [`annotate_stream`] over a
+/// materialised stream.
 ///
 /// # Errors
 ///
@@ -111,13 +110,37 @@ pub fn annotate(
     cache: CacheConfig,
     predictor: PredictorConfig,
 ) -> Result<AnnotatedTrace, ConfigError> {
+    annotate_stream(trace.iter().copied(), cache, predictor)
+}
+
+/// Runs the engine's cache and predictor model over a stream once, as it
+/// is produced, and returns the depth-invariant annotation. The columns
+/// are sized from the iterator's size hint (its upper bound when it has
+/// one, as `Take` does over an endless generator).
+///
+/// The pass mirrors the stage engine's event order exactly: per
+/// instruction, the fetch filter first, then the data access, then the
+/// branch observation — so the cache and predictor state evolve exactly as
+/// they do inside [`crate::Engine`] at any depth.
+///
+/// # Errors
+///
+/// Returns the first [`ConfigError`] found validating the cache or
+/// predictor configuration, before any instruction is read.
+pub fn annotate_stream(
+    trace: impl IntoIterator<Item = Instruction>,
+    cache: CacheConfig,
+    predictor: PredictorConfig,
+) -> Result<AnnotatedTrace, ConfigError> {
     let mut caches = Hierarchy::try_new(cache)?;
     let mut bp = Gshare::try_new(predictor)?;
     let has_l1i = cache.l1i_bytes > 0;
     let line_bytes = cache.line_bytes;
     let mut last_fetch_line = u64::MAX;
 
-    let n = trace.len();
+    let trace = trace.into_iter();
+    let (lower, upper) = trace.size_hint();
+    let n = upper.unwrap_or(lower);
     let mut out = AnnotatedTrace {
         classes: Vec::with_capacity(n),
         flags: Vec::with_capacity(n),
@@ -235,7 +258,7 @@ impl AnnotateStats {
 /// namespace in an on-disk store).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AnnotationKey {
-    /// The stream's arena key ([`pipedepth_trace::TraceRequest::key`]).
+    /// The stream's content key ([`TraceRequest::key`]).
     pub trace_key: u64,
     /// Stream length (a second identity check alongside the key).
     pub len: usize,
@@ -258,15 +281,16 @@ impl AnnotationKey {
 
 type Bucket = Vec<(AnnotationKey, Arc<AnnotatedTrace>)>;
 
-/// Content-addressed store of annotations, the companion of
-/// [`pipedepth_trace::TraceArena`]: one annotation pass per distinct
-/// `(stream, cache config, predictor config)`, shared by `Arc` thereafter.
+/// Content-addressed store of annotations: one generate-and-annotate pass
+/// per distinct `(stream, cache config, predictor config)`, shared by
+/// `Arc` thereafter. A stream needed under a second configuration is
+/// generated again, which is safe because the generator is deterministic.
 ///
-/// Like the arena, annotation happens under the store lock so concurrent
+/// Generation and annotation happen under the store lock so concurrent
 /// requests never duplicate a pass, and the intended discipline is to
-/// pre-stage annotations serially before fanning out workers — which also
-/// keeps the `trace.annotate.*` counters deterministic for any thread
-/// count.
+/// request annotations serially before fanning out workers — which also
+/// keeps the `trace.annotate.*` and `trace.generators_created` counters
+/// deterministic for any thread count.
 #[derive(Debug, Default)]
 pub struct AnnotationStore {
     buckets: Mutex<BTreeMap<u64, Bucket>>,
@@ -276,6 +300,9 @@ pub struct AnnotationStore {
     hit_counter: Counter,
     miss_counter: Counter,
     annotated_counter: Counter,
+    /// Handle passed to the generators a miss creates, so generation
+    /// reports the ordinary `trace.*` counters.
+    telemetry: Telemetry,
 }
 
 impl AnnotationStore {
@@ -286,17 +313,20 @@ impl AnnotationStore {
 
     /// Connects the store's counters to a telemetry registry:
     /// `trace.annotate.hits`, `trace.annotate.misses` and
-    /// `trace.annotate.instructions_annotated` mirror [`AnnotateStats`].
+    /// `trace.annotate.instructions_annotated` mirror [`AnnotateStats`],
+    /// and the generators a miss creates report
+    /// `trace.generators_created` and `trace.instructions_generated`.
     pub fn attach_telemetry(&mut self, telemetry: &Telemetry) {
         self.hit_counter = telemetry.counter("trace.annotate.hits");
         self.miss_counter = telemetry.counter("trace.annotate.misses");
         self.annotated_counter = telemetry.counter("trace.annotate.instructions_annotated");
+        self.telemetry = telemetry.clone();
     }
 
-    /// The annotation for `trace` under `(cache, predictor)`, running the
-    /// pass on first request and sharing the same `Arc` on every
-    /// subsequent one. `trace_key` is the stream's content key (the arena
-    /// key), which stands in for the stream's bytes in the store address.
+    /// The annotation of the stream `request` names, under `(cache,
+    /// predictor)`. The first request generates the stream straight into
+    /// the annotate pass; every later one shares the same `Arc` and
+    /// generates nothing.
     ///
     /// # Errors
     ///
@@ -304,14 +334,14 @@ impl AnnotationStore {
     /// predictor configuration.
     pub fn get_or_annotate(
         &self,
-        trace_key: u64,
-        trace: &[Instruction],
+        request: TraceRequest,
         cache: CacheConfig,
         predictor: PredictorConfig,
     ) -> Result<Arc<AnnotatedTrace>, ConfigError> {
+        let len = request.len as usize;
         let key = AnnotationKey {
-            trace_key,
-            len: trace.len(),
+            trace_key: request.key(),
+            len,
             cache,
             predictor,
         };
@@ -326,14 +356,15 @@ impl AnnotationStore {
             self.hit_counter.inc();
             return Ok(Arc::clone(notes));
         }
-        // Annotation happens under the lock: concurrent requests for the
-        // same annotation must never duplicate the work.
-        let notes = Arc::new(annotate(trace, cache, predictor)?);
+        // Generation and annotation happen under the lock: concurrent
+        // requests for the same annotation must never duplicate the work.
+        let stream =
+            TraceGenerator::with_telemetry(request.model, request.seed, &self.telemetry).take(len);
+        let notes = Arc::new(annotate_stream(stream, cache, predictor)?);
         self.misses.fetch_add(1, Ordering::Relaxed);
-        self.instructions
-            .fetch_add(trace.len() as u64, Ordering::Relaxed);
+        self.instructions.fetch_add(request.len, Ordering::Relaxed);
         self.miss_counter.inc();
-        self.annotated_counter.add(trace.len() as u64);
+        self.annotated_counter.add(request.len);
         bucket.push((key, Arc::clone(&notes)));
         Ok(notes)
     }
@@ -406,6 +437,14 @@ mod tests {
         TraceGenerator::new(WorkloadModel::spec_int_like(), 42).take_vec(n)
     }
 
+    fn sample_request(len: u64) -> TraceRequest {
+        TraceRequest {
+            model: WorkloadModel::spec_int_like(),
+            seed: 42,
+            len,
+        }
+    }
+
     #[test]
     fn annotation_is_deterministic_and_sized() {
         let trace = sample_trace(2_000);
@@ -463,16 +502,21 @@ mod tests {
 
     #[test]
     fn store_annotates_once_and_shares() {
-        let trace = sample_trace(1_500);
         let cfg = SimConfig::paper(8);
         let store = AnnotationStore::new();
         let a = store
-            .get_or_annotate(7, &trace, cfg.cache, cfg.predictor)
+            .get_or_annotate(sample_request(1_500), cfg.cache, cfg.predictor)
             .expect("valid config");
         let b = store
-            .get_or_annotate(7, &trace, cfg.cache, cfg.predictor)
+            .get_or_annotate(sample_request(1_500), cfg.cache, cfg.predictor)
             .expect("valid config");
         assert!(Arc::ptr_eq(&a, &b));
+        // The store's pass equals `annotate` over the materialised stream.
+        let trace = sample_trace(1_500);
+        assert_eq!(
+            *a,
+            annotate(&trace, cfg.cache, cfg.predictor).expect("valid config")
+        );
         assert_eq!(store.len(), 1);
         let stats = store.stats();
         assert_eq!((stats.hits, stats.misses), (1, 1));
@@ -482,7 +526,7 @@ mod tests {
         let mut other = cfg.cache;
         other.prefetch = false;
         store
-            .get_or_annotate(7, &trace, other, cfg.predictor)
+            .get_or_annotate(sample_request(1_500), other, cfg.predictor)
             .expect("valid config");
         assert_eq!(store.len(), 2);
         assert!(!store.is_empty());
@@ -494,17 +538,19 @@ mod tests {
         let telemetry = Telemetry::new();
         let mut store = AnnotationStore::new();
         store.attach_telemetry(&telemetry);
-        let trace = sample_trace(600);
         let cfg = SimConfig::paper(8);
         store
-            .get_or_annotate(1, &trace, cfg.cache, cfg.predictor)
+            .get_or_annotate(sample_request(600), cfg.cache, cfg.predictor)
             .expect("valid config");
         store
-            .get_or_annotate(1, &trace, cfg.cache, cfg.predictor)
+            .get_or_annotate(sample_request(600), cfg.cache, cfg.predictor)
             .expect("valid config");
         let snap = telemetry.snapshot();
         assert_eq!(snap.counter("trace.annotate.hits"), 1);
         assert_eq!(snap.counter("trace.annotate.misses"), 1);
         assert_eq!(snap.counter("trace.annotate.instructions_annotated"), 600);
+        // The miss generated the stream once; the hit created no generator.
+        assert_eq!(snap.counter("trace.generators_created"), 1);
+        assert_eq!(snap.counter("trace.instructions_generated"), 600);
     }
 }

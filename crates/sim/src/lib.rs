@@ -67,7 +67,8 @@ pub mod stage;
 /// The annotate-once surface: the SoA annotation, the one-pass classifier
 /// and the content-addressed store.
 pub use annotate::{
-    annotate, annotation_fingerprint, AnnotateStats, AnnotatedTrace, AnnotationKey, AnnotationStore,
+    annotate, annotate_stream, annotation_fingerprint, AnnotateStats, AnnotatedTrace,
+    AnnotationKey, AnnotationStore,
 };
 /// Configuration surface: `SimConfig`, its builder, and the plan types.
 pub use config::{

@@ -15,7 +15,7 @@ use pipedepth_sim::replay::{replay, replay_sweep};
 use pipedepth_sim::{Engine, SimConfig, SimReport};
 use pipedepth_telemetry::Telemetry;
 use pipedepth_trace::isa::Instruction;
-use pipedepth_trace::{TraceArena, WorkloadModel};
+use pipedepth_trace::{TraceGenerator, TraceRequest, WorkloadModel};
 
 const WARMUP: u64 = 3_000;
 const MEASURE: u64 = 6_000;
@@ -47,12 +47,16 @@ fn engine_reference(
     engine.run(stream, measure)
 }
 
+/// The first `len` instructions of the `(model, seed)` stream.
+fn stream(model: WorkloadModel, seed: u64, len: u64) -> Vec<Instruction> {
+    TraceGenerator::new(model, seed).take_vec(len as usize)
+}
+
 #[test]
 fn replay_reproduces_engine_across_class_depth_grid() {
-    let arena = TraceArena::new();
     for (name, model) in classes() {
         let seed = 0xA11CE ^ name.len() as u64;
-        let trace = arena.get_or_generate(model, seed, WARMUP + MEASURE);
+        let trace = stream(model, seed, WARMUP + MEASURE);
         let base = SimConfig::paper(DEPTHS[0]);
         let notes = annotate(&trace, base.cache, base.predictor).expect("valid config");
 
@@ -84,8 +88,7 @@ fn batched_lanes_may_differ_in_everything_but_the_annotation() {
     // Lanes sharing one annotation may differ in any knob that does not
     // feed it: depth, width, cache ports, forwarding, stall-on-use,
     // queue scaling, issue policy. Mix them all in one batch.
-    let arena = TraceArena::new();
-    let trace = arena.get_or_generate(WorkloadModel::modern_like(), 99, WARMUP + MEASURE);
+    let trace = stream(WorkloadModel::modern_like(), 99, WARMUP + MEASURE);
     let base = SimConfig::paper(8);
     let notes = annotate(&trace, base.cache, base.predictor).expect("valid config");
 
@@ -131,8 +134,7 @@ fn warmup_seam_matches_engine_exactly() {
     // The warmup boundary is where the lane resets its statistics while
     // keeping timing state; sweep it across odd positions, including 0
     // and beyond the trace length.
-    let arena = TraceArena::new();
-    let trace = arena.get_or_generate(WorkloadModel::spec_fp_like(), 5, 4_000);
+    let trace = stream(WorkloadModel::spec_fp_like(), 5, 4_000);
     let config = SimConfig::paper(11);
     let notes = annotate(&trace, config.cache, config.predictor).expect("valid config");
     for warmup in [0u64, 1, 777, 3_999, 4_000, 9_000] {
@@ -170,7 +172,6 @@ fn randomized_workloads_replay_exactly() {
     // Proptest-style: perturb a base model's knobs through a seeded RNG
     // and pin replay == engine on every case. Failures print the case
     // seed, which fully reproduces the model.
-    let arena = TraceArena::new();
     let mut rng = XorShift(0xDEC0DE);
     for case in 0..8u64 {
         let case_seed = rng.next();
@@ -227,7 +228,7 @@ fn randomized_workloads_replay_exactly() {
         // A measured count that stops short of the end of the stream.
         let measure = 1 + rng.next() % (TRACE_LEN - warmup - 1);
 
-        let trace = arena.get_or_generate(model, case_seed, TRACE_LEN);
+        let trace = stream(model, case_seed, TRACE_LEN);
         let configs = depths.map(|depth| SimConfig {
             cache,
             ..SimConfig::paper(depth)
@@ -256,16 +257,19 @@ fn randomized_workloads_replay_exactly() {
 #[test]
 fn store_shares_one_annotation_per_stream_and_config() {
     // The runner's discipline: one annotation per (stream, cache,
-    // predictor), reused across the whole depth sweep.
-    let arena = TraceArena::new();
-    let model = WorkloadModel::spec_int_like();
-    let trace = arena.get_or_generate(model, 3, 2_000);
+    // predictor), generated straight from the request and reused across
+    // the whole depth sweep.
+    let request = TraceRequest {
+        model: WorkloadModel::spec_int_like(),
+        seed: 3,
+        len: 2_000,
+    };
+    let trace = stream(request.model, request.seed, request.len);
     let store = AnnotationStore::new();
-    let base = SimConfig::paper(4);
     for depth in DEPTHS {
         let config = SimConfig::paper(depth);
         let notes = store
-            .get_or_annotate(11, &trace, config.cache, config.predictor)
+            .get_or_annotate(request, config.cache, config.predictor)
             .expect("valid config");
         let fast = replay(&notes, config, 500, u64::MAX).expect("valid config");
         let reference = engine_reference(&trace, config, 500, u64::MAX);
@@ -273,5 +277,4 @@ fn store_shares_one_annotation_per_stream_and_config() {
     }
     assert_eq!(store.stats().misses, 1, "one annotation pass for the sweep");
     assert_eq!(store.stats().hits, DEPTHS.len() as u64 - 1);
-    let _ = base;
 }

@@ -6,6 +6,7 @@
 //! exactly as the paper replays one trace tape against many processor
 //! models.
 
+use crate::hash::Fnv64;
 use crate::isa::{BranchInfo, Instruction, MemRef, OpClass, Reg};
 use crate::model::WorkloadModel;
 use pipedepth_telemetry::{Counter, Telemetry};
@@ -15,6 +16,31 @@ use rand::{Rng, SeedableRng};
 /// Cache-line-sized code step between sequential instructions (z
 /// instructions average ~4 bytes; we use 4).
 const INSTR_BYTES: u64 = 4;
+
+/// The content address of one stream: the full set of inputs that
+/// determine it. A [`TraceGenerator`] seeded from `model` and `seed` yields
+/// the stream; `len` is how many instructions of it a consumer reads.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct TraceRequest {
+    /// Statistical model the stream is drawn from.
+    pub model: WorkloadModel,
+    /// Seed of the deterministic stream.
+    pub seed: u64,
+    /// Stream length in instructions.
+    pub len: u64,
+}
+
+impl TraceRequest {
+    /// Structural content hash (collisions are resolved by `PartialEq`
+    /// wherever the key addresses a store).
+    pub fn key(&self) -> u64 {
+        let mut h = Fnv64::new();
+        h.write_u64(self.model.fingerprint())
+            .write_u64(self.seed)
+            .write_u64(self.len);
+        h.finish()
+    }
+}
 
 /// A deterministic, endless instruction stream for one workload.
 ///

@@ -1,13 +1,14 @@
 //! Structural content hashing for the workspace's cache keys.
 //!
-//! Both the simulation cache and the trace arena address their entries by
-//! content: the full set of fields that determine a deterministic result.
-//! [`Fnv64`] is a minimal FNV-1a accumulator over the *bit patterns* of
-//! those fields — `f64`s are fed through [`f64::to_bits`], so two
-//! configurations hash equally exactly when their fields are bitwise
-//! equal, with no intermediate `String` rendering and no allocation.
-//! Collisions are always resolved by a full `PartialEq` comparison at the
-//! lookup site, so the hash only needs to spread well.
+//! Both the simulation cache and the annotation store address their
+//! entries by content: the full set of fields that determine a
+//! deterministic result. [`Fnv64`] is a minimal FNV-1a accumulator over
+//! the *bit patterns* of those fields — `f64`s are fed through
+//! [`f64::to_bits`], so two configurations hash equally exactly when
+//! their fields are bitwise equal, with no intermediate `String`
+//! rendering and no allocation. Collisions are always resolved by a full
+//! `PartialEq` comparison at the lookup site, so the hash only needs to
+//! spread well.
 
 /// An incremental FNV-1a hasher over 64-bit words.
 ///

@@ -11,12 +11,15 @@
 //!   distances, branch predictability, memory locality) with presets for
 //!   the paper's four workload classes;
 //! * [`generator`] — the seeded trace generator: same seed, same trace,
-//!   replayable against every pipeline depth of a sweep;
-//! * [`arena`] — the content-addressed trace arena: each distinct
-//!   (model, seed, length) stream is materialized once into an
-//!   `Arc<[Instruction]>` and shared by every simulation cell;
+//!   replayable against every pipeline depth of a sweep — and
+//!   [`TraceRequest`], the `(model, seed, length)` content address of one
+//!   stream;
+//! * [`arena`] — a store of materialised `Arc<[Instruction]>` streams,
+//!   kept for the benchmark's traced pass (the simulator generates each
+//!   stream straight into its annotation instead);
 //! * [`hash`] — structural FNV-1a hashing over field bit patterns, the
-//!   content-addressing primitive used by the arena and the sim cache;
+//!   content-addressing primitive used by the annotation store and the
+//!   sim cache;
 //! * [`stats`] — aggregate trace statistics for validation and reporting;
 //! * [`codec`] — a compact binary trace format (generate once, replay
 //!   anywhere).
@@ -48,8 +51,8 @@ pub mod isa;
 pub mod model;
 pub mod stats;
 
-pub use arena::{ArenaStats, TraceArena, TraceRequest};
-pub use generator::TraceGenerator;
+pub use arena::TraceArena;
+pub use generator::{TraceGenerator, TraceRequest};
 pub use hash::Fnv64;
 pub use isa::{BranchInfo, Instruction, MemRef, OpClass, Reg};
 pub use model::{fingerprint_memo_hits, BranchModel, InstructionMix, MemoryModel, WorkloadModel};

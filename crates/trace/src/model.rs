@@ -383,15 +383,15 @@ impl WorkloadModel {
     /// Structural content hash of the model: FNV-1a over every field's bit
     /// pattern (see [`crate::hash::Fnv64`]). Two models fingerprint equally
     /// exactly when all fields are bitwise equal, so the fingerprint can
-    /// key content-addressed stores (the trace arena, the simulation
-    /// cache) without rendering the model to a string. Collisions must
-    /// still be resolved by `PartialEq` at the lookup site.
+    /// key content-addressed stores (the annotation store, the
+    /// simulation cache) without rendering the model to a string.
+    /// Collisions must still be resolved by `PartialEq` at the lookup site.
     ///
     /// The hash is memoized process-wide: an experiment run fingerprints
-    /// the same handful of models once per *cell* (`CellSpec::key()`, the
-    /// arena, the sim cache), so after each model's first walk every call
-    /// is a short scan of a tiny table. [`fingerprint_memo_hits`] counts
-    /// the walks saved.
+    /// the same handful of models once per *cell* (`CellSpec::key()`) and
+    /// once per annotation request ([`crate::TraceRequest::key`]), so after
+    /// each model's first walk every call is a short scan of a tiny table.
+    /// [`fingerprint_memo_hits`] counts the walks saved.
     pub fn fingerprint(&self) -> u64 {
         let memo = FINGERPRINT_MEMO.get_or_init(|| Mutex::new(Vec::new()));
         {
@@ -463,7 +463,7 @@ static FINGERPRINT_MEMO_HITS: AtomicU64 = AtomicU64::new(0);
 /// Total [`WorkloadModel::fingerprint`] calls served from the memo since
 /// process start (monotone; consumers flush deltas against their own
 /// watermark, as the experiment runner does for
-/// `trace.arena.fingerprint_memo_hits`).
+/// `trace.fingerprint_memo_hits`).
 pub fn fingerprint_memo_hits() -> u64 {
     FINGERPRINT_MEMO_HITS.load(Ordering::Relaxed)
 }
