@@ -262,14 +262,22 @@ impl<R: Borrow<Runner>> SimBackend<R> {
     }
 
     /// The outcome of `cell` if the runner's cache already holds its
-    /// report, derived with the cell's own power calibration; `None` when
-    /// the cell would have to be simulated (or is invalid). Never
-    /// simulates: a cached cell under a new leakage setting is answered
-    /// here, from the same report.
-    pub fn cached(&self, cell: &CellSpec) -> Option<EvalOutcome> {
-        let sim_cell = self.prepare(cell).ok()?;
-        let report = self.runner().cached(&sim_cell)?;
-        Some(outcome_from_report(&report, cell))
+    /// report, derived with the cell's own power calibration; `Ok(None)`
+    /// when the cell would have to be simulated. Never simulates: a cached
+    /// cell under a new leakage setting is answered here, from the same
+    /// report.
+    ///
+    /// # Errors
+    ///
+    /// The `invalid_cell` error [`Evaluator::evaluate`] would answer, for a
+    /// cell no simulation can run, so a caller can refuse it without a
+    /// dispatch.
+    pub fn cached(&self, cell: &CellSpec) -> Result<Option<EvalOutcome>, EvalError> {
+        let sim_cell = self.prepare(cell)?;
+        Ok(self
+            .runner()
+            .cached(&sim_cell)
+            .map(|report| outcome_from_report(&report, cell)))
     }
 
     /// Resolves one evaluation cell into a runnable simulation cell,
@@ -451,10 +459,14 @@ mod tests {
             assert_eq!(out.throughput, point.throughput);
             assert_eq!(out.metric_gated, point.metric_gated);
             assert_eq!(out.metric_ungated, point.metric_ungated);
-            assert_eq!(backend.cached(&cell), Some(out), "answered without a run");
+            assert_eq!(
+                backend.cached(&cell),
+                Ok(Some(out)),
+                "answered without a run"
+            );
         }
         let unswept = cell_for(w, fitted_profile(w), 6, &cfg);
-        assert_eq!(backend.cached(&unswept), None, "never simulates");
+        assert_eq!(backend.cached(&unswept), Ok(None), "never simulates");
     }
 
     #[test]
@@ -487,7 +499,7 @@ mod tests {
         ] {
             let err = backend.evaluate(&bad).expect_err("not simulable");
             assert_eq!(err.code(), "invalid_cell");
-            assert!(backend.cached(&bad).is_none());
+            assert_eq!(backend.cached(&bad), Err(err), "refused without a run");
         }
         let stats = runner.cache_stats().expect("always Some");
         assert_eq!(stats.requested(), 0, "no bad cell reached the runner");

@@ -235,9 +235,9 @@ fn reason(status: u16) -> &'static str {
     }
 }
 
-/// Writes one complete response and flags the connection for closing.
-/// Write failures are swallowed: the client hung up, and the server has
-/// nothing better to do with the error.
+/// Writes one complete response, head and body in a single write, and
+/// flags the connection for closing. Write failures are swallowed: the
+/// client hung up, and the server has nothing better to do with the error.
 pub fn respond(
     stream: &mut TcpStream,
     status: u16,
@@ -245,19 +245,19 @@ pub fn respond(
     extra_headers: &[(&str, String)],
     body: &str,
 ) {
-    let mut head = String::with_capacity(128);
+    let mut response = String::with_capacity(128 + body.len());
     let _ = write!(
-        head,
+        response,
         "HTTP/1.1 {status} {}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: close\r\n",
         reason(status),
         body.len(),
     );
     for (name, value) in extra_headers {
-        let _ = write!(head, "{name}: {value}\r\n");
+        let _ = write!(response, "{name}: {value}\r\n");
     }
-    head.push_str("\r\n");
-    let _ = stream.write_all(head.as_bytes());
-    let _ = stream.write_all(body.as_bytes());
+    response.push_str("\r\n");
+    response.push_str(body);
+    let _ = stream.write_all(response.as_bytes());
     let _ = stream.flush();
 }
 

@@ -2,31 +2,42 @@
 //!
 //! [`Server::bind`] opens the listener and builds the [`EvalService`];
 //! [`Server::run`] blocks serving requests until `POST /v1/shutdown`,
-//! then drains in the only safe order: stop accepting, join in-flight
-//! connection handlers (so every admitted request gets its response),
-//! close the batch queue (dispatch workers finish what was queued and
-//! exit), join the workers, and return a final stats line for the
-//! operator.
+//! then drains in the only safe order: stop accepting, let the connection
+//! handlers serve every connection they were handed (so every admitted
+//! request gets its response), close the batch queue (dispatch workers
+//! finish what was queued and exit), join the workers, and return a final
+//! stats line for the operator.
 //!
-//! Connections are thread-per-request with `Connection: close` — the
-//! service's concurrency ceiling is the batch queue, not the socket
-//! layer, so a simple threading model is plenty.
+//! Every response carries `Connection: close`, and connections are served
+//! by a pool of at most [`MAX_HANDLERS`](crate::server::MAX_HANDLERS)
+//! handler threads. The accept loop hands each stream to an idle handler,
+//! starts a new handler only when no idle one is free to take it, and
+//! answers 503 itself beyond the cap. Handlers are reused, so a request
+//! costs no thread spawn; the cap only keeps idle or slow clients from
+//! holding unbounded threads. The service's ceiling on work is still the
+//! batch queue.
 
 use crate::batch::Shed;
 use crate::http::{read_request, respond, Request};
 use crate::service::{EvalService, ServiceConfig};
 use crate::wire::v1::{encode_error, DecodeError, EvaluateRequest};
 use pipedepth_telemetry::{json::number, MetricValue, Telemetry};
+use std::collections::VecDeque;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread;
 use std::time::Duration;
 
-/// How long a connection may idle before its handler gives up on it.
-/// Bounds how long shutdown can wait on a silent client.
-const READ_TIMEOUT: Duration = Duration::from_secs(30);
+/// Most connection handler threads alive at once. A connection that finds
+/// all of them busy is answered 503 by the accept loop.
+pub const MAX_HANDLERS: usize = 64;
+
+/// How long a handler waits on any one read from its client. Bounds how
+/// long an idle client holds a handler, and how long shutdown can wait on
+/// a silent one.
+const READ_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// A bound evaluation server. Dropping it without [`Server::run`] simply
 /// closes the socket.
@@ -70,32 +81,50 @@ impl Server {
     /// Serves until a `POST /v1/shutdown` arrives, drains, and returns
     /// the final stats line.
     pub fn run(self) -> String {
-        let addr = self.local_addr().ok();
-        let shutdown = Arc::new(AtomicBool::new(false));
         let dispatchers: Vec<thread::JoinHandle<()>> = (0..self.workers)
             .map(|_| {
                 let service = Arc::clone(&self.service);
                 thread::spawn(move || service.dispatch_loop())
             })
             .collect();
-        let mut connections: Vec<thread::JoinHandle<()>> = Vec::new();
+        let shared = Arc::new(Shared {
+            service: Arc::clone(&self.service),
+            handoff: Handoff::default(),
+            shutdown: AtomicBool::new(false),
+            addr: self.local_addr().ok(),
+        });
+        let telemetry = self.service.telemetry();
+        let started = telemetry.counter("serve.http.handlers_started");
+        let rejected = telemetry.counter("serve.http.rejected");
+        let mut handlers: Vec<thread::JoinHandle<()>> = Vec::new();
         for stream in self.listener.incoming() {
-            if shutdown.load(Ordering::SeqCst) {
+            if shared.shutdown.load(Ordering::SeqCst) {
                 // The waking connection (or a late client) — drop it
                 // unanswered and stop accepting.
                 break;
             }
             let Ok(stream) = stream else { continue };
-            let service = Arc::clone(&self.service);
-            let shutdown = Arc::clone(&shutdown);
-            connections.push(thread::spawn(move || {
-                handle_connection(stream, &service, &shutdown, addr);
-            }));
-            connections.retain(|handle| !handle.is_finished());
+            let Err(stream) = shared.handoff.offer(stream) else {
+                continue;
+            };
+            if handlers.len() >= MAX_HANDLERS {
+                // Handlers run until the hand-off closes, so one that has
+                // finished panicked; it frees its slot.
+                handlers.retain(|handle| !handle.is_finished());
+            }
+            if handlers.len() < MAX_HANDLERS {
+                started.inc();
+                let shared = Arc::clone(&shared);
+                handlers.push(thread::spawn(move || shared.serve(stream)));
+            } else {
+                rejected.inc();
+                refuse(stream);
+            }
         }
-        // Drain: every accepted connection answers before the queue closes,
-        // so no admitted request is dropped.
-        for handle in connections {
+        // Drain: handlers serve every stream they were handed, then exit,
+        // so no admitted request is dropped before the queue closes.
+        shared.handoff.close();
+        for handle in handlers {
             let _ = handle.join();
         }
         self.service.close();
@@ -110,19 +139,123 @@ impl Server {
     }
 }
 
-/// Serves one connection: parse, route, respond, close.
-fn handle_connection(
-    mut stream: TcpStream,
-    service: &EvalService,
-    shutdown: &AtomicBool,
+/// What the accept loop shares with every handler thread.
+#[derive(Debug)]
+struct Shared {
+    service: Arc<EvalService>,
+    handoff: Handoff,
+    /// Set by `POST /v1/shutdown`; the accept loop stops on its next wake.
+    shutdown: AtomicBool,
+    /// The listener's address, which the shutdown handler connects to in
+    /// order to wake the accept loop.
     addr: Option<SocketAddr>,
-) {
+}
+
+impl Shared {
+    /// A handler thread's body: serves `first`, then each stream the
+    /// hand-off gives it, until the hand-off closes.
+    fn serve(&self, first: TcpStream) {
+        let mut next = Some(first);
+        while let Some(mut stream) = next {
+            handle_connection(&mut stream, self);
+            next = self.handoff.next(stream);
+        }
+    }
+}
+
+/// The accept loop's hand-off to idle handler threads. Each queued stream
+/// is spoken for by a handler that counted itself idle, so no stream waits
+/// behind a busy one.
+#[derive(Debug, Default)]
+struct Handoff {
+    state: Mutex<HandoffState>,
+    ready: Condvar,
+}
+
+#[derive(Debug, Default)]
+struct HandoffState {
+    /// Accepted streams no handler has taken yet.
+    queued: VecDeque<TcpStream>,
+    /// Handlers that finished a connection and have not taken another.
+    idle: usize,
+    /// Set once the accept loop has stopped; handlers exit when `queued`
+    /// is empty.
+    closed: bool,
+}
+
+impl Handoff {
+    /// Queues `stream` for an idle handler, or hands it back when every
+    /// idle handler already has a stream queued for it.
+    fn offer(&self, stream: TcpStream) -> Result<(), TcpStream> {
+        let mut state = self.lock();
+        if state.idle <= state.queued.len() {
+            return Err(stream);
+        }
+        state.queued.push_back(stream);
+        self.ready.notify_one();
+        Ok(())
+    }
+
+    /// Counts the calling handler idle, closes the connection it has just
+    /// served, then waits for its next stream; `None` once the hand-off is
+    /// closed and empty. Counting itself idle before the close means a
+    /// client that reconnects on seeing EOF always finds this handler free.
+    fn next(&self, served: TcpStream) -> Option<TcpStream> {
+        self.lock().idle += 1;
+        drop(served);
+        let mut state = self.lock();
+        loop {
+            if let Some(stream) = state.queued.pop_front() {
+                state.idle -= 1;
+                return Some(stream);
+            }
+            if state.closed {
+                return None;
+            }
+            state = self
+                .ready
+                .wait(state)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+    }
+
+    /// Stops the hand-off: handlers serve what is queued, then exit.
+    fn close(&self) {
+        self.lock().closed = true;
+        self.ready.notify_all();
+    }
+
+    fn lock(&self) -> MutexGuard<'_, HandoffState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+/// Answers a connection beyond [`MAX_HANDLERS`] from the accept loop,
+/// without reading its request. An idle client reads the 503; one that
+/// has already sent its request may see a reset instead, because the
+/// close discards its unread bytes.
+fn refuse(mut stream: TcpStream) {
+    respond(
+        &mut stream,
+        503,
+        "application/json",
+        &[("Retry-After", "1".to_string())],
+        &encode_error(
+            "overloaded",
+            "every connection handler is busy; retry later",
+        ),
+    );
+}
+
+/// Serves one connection: parse, route, respond. The caller closes it.
+fn handle_connection(stream: &mut TcpStream, shared: &Shared) {
+    let service = &*shared.service;
     let _ = stream.set_read_timeout(Some(READ_TIMEOUT));
-    let request = match read_request(&mut stream) {
+    let request = match read_request(stream) {
         Ok(request) => request,
         Err(e) => {
             respond(
-                &mut stream,
+                stream,
                 e.status,
                 "application/json",
                 &[],
@@ -132,42 +265,38 @@ fn handle_connection(
         }
     };
     match (request.method.as_str(), request.path.as_str()) {
-        ("POST", "/v1/evaluate") => evaluate(&mut stream, service, &request),
-        ("GET", "/v1/optimum") => optimum(&mut stream, service, &request),
-        ("GET", "/healthz") => respond(
-            &mut stream,
-            200,
-            "application/json",
-            &[],
-            "{\"status\": \"ok\"}",
-        ),
+        ("POST", "/v1/evaluate") => evaluate(stream, service, &request),
+        ("GET", "/v1/optimum") => optimum(stream, service, &request),
+        ("GET", "/healthz") => {
+            respond(stream, 200, "application/json", &[], "{\"status\": \"ok\"}")
+        }
         ("GET", "/metrics") => {
             let body = render_metrics(service.telemetry());
-            respond(&mut stream, 200, "application/json", &[], &body);
+            respond(stream, 200, "application/json", &[], &body);
         }
         ("POST", "/v1/shutdown") => {
             respond(
-                &mut stream,
+                stream,
                 200,
                 "application/json",
                 &[],
                 "{\"status\": \"shutting down\"}",
             );
-            shutdown.store(true, Ordering::SeqCst);
+            shared.shutdown.store(true, Ordering::SeqCst);
             // Wake the accept loop so it notices the flag.
-            if let Some(addr) = addr {
+            if let Some(addr) = shared.addr {
                 let _ = TcpStream::connect(addr);
             }
         }
         (_, "/v1/evaluate" | "/v1/optimum" | "/v1/shutdown" | "/healthz" | "/metrics") => respond(
-            &mut stream,
+            stream,
             405,
             "application/json",
             &[],
             &encode_error("method_not_allowed", "wrong method for this path"),
         ),
         (_, path) => respond(
-            &mut stream,
+            stream,
             404,
             "application/json",
             &[],

@@ -263,20 +263,24 @@ impl EvalService {
     /// The simulation outcome of `spec` if it needs no dispatch: from the
     /// memo, or else derived from a report the runner's cache holds (a
     /// warm-tier report counts as a warm hit and is promoted) and
-    /// memoised.
-    fn cached(&self, spec: &CellSpec) -> Option<EvalOutcome> {
+    /// memoised. `Err` for a cell no simulation can run, so it is answered
+    /// without taking a dispatch.
+    fn cached(&self, spec: &CellSpec) -> Result<Option<EvalOutcome>, EvalError> {
         let key = spec.key();
         if let Some(hit) = self.memo.get(key, spec) {
-            return Some(*hit);
+            return Ok(Some(*hit));
         }
-        let outcome = self.sim.cached(spec)?;
+        let Some(outcome) = self.sim.cached(spec)? else {
+            return Ok(None);
+        };
         self.memo.insert(key, spec.clone(), Arc::new(outcome));
-        Some(outcome)
+        Ok(Some(outcome))
     }
 
-    /// The sim/auto path: cached answers, then the coalescing queue, then
-    /// a deadline-bounded wait. `auto` degrades to the model instead of
-    /// failing when the deadline rules simulation out.
+    /// The sim/auto path: invalid and cached answers, then the coalescing
+    /// queue, then a deadline-bounded wait. `auto` degrades to the model
+    /// instead of failing when the deadline rules simulation out; a cell no
+    /// simulation can run is answered `invalid_cell` under either backend.
     fn answer_queued(
         &self,
         cells: &[Result<CellSpec, EvalError>],
@@ -291,7 +295,8 @@ impl EvalService {
             match cell {
                 Err(e) => results[i] = Some(error_result(e.clone(), "sim")),
                 Ok(spec) => match self.cached(spec) {
-                    Some(hit) => {
+                    Err(e) => results[i] = Some(error_result(e, "sim")),
+                    Ok(Some(hit)) => {
                         self.telemetry.counter("serve.cache_hits").inc();
                         results[i] = Some(CellResult {
                             outcome: Ok(hit),
@@ -299,7 +304,7 @@ impl EvalService {
                             degraded: false,
                         });
                     }
-                    None => {
+                    Ok(None) => {
                         submit_idx.push(i);
                         submit_specs.push(spec.clone());
                     }
@@ -328,7 +333,7 @@ impl EvalService {
         // still answers from cache instead of re-enqueuing its cells.
         let admitted = self
             .queue
-            .submit_with(&submit_specs, |spec| self.cached(spec))
+            .submit_with(&submit_specs, |spec| self.cached(spec).ok().flatten())
             .inspect_err(|_| {
                 self.telemetry.counter("serve.shed").inc();
             })?;
@@ -651,6 +656,29 @@ mod tests {
         out
     }
 
+    /// A cell outside the suite that carries its own analytic profile.
+    fn custom(depth: u32) -> WireCell {
+        WireCell {
+            profile: Some(pipedepth_core::eval::WorkloadProfile {
+                alpha: 2.0,
+                gamma: 0.4,
+                hazard_rate: 0.15,
+                kappa: 0.22,
+                memory_time_fo4: 12.0,
+            }),
+            ..WireCell::new("custom", depth)
+        }
+    }
+
+    /// A `modern-00`@8 cell with an explicit measurement window.
+    fn window(warmup: u64, instructions: u64) -> WireCell {
+        WireCell {
+            warmup: Some(warmup),
+            instructions: Some(instructions),
+            ..WireCell::new("modern-00", 8)
+        }
+    }
+
     #[test]
     fn model_requests_answer_inline() {
         let svc = service(quick_config());
@@ -775,13 +803,19 @@ mod tests {
             .evaluate(&request(
                 WireBackend::Auto,
                 Some(0),
-                vec![WireCell::new("fp-00", 9)],
+                vec![WireCell::new("fp-00", 9), window(0, 0), custom(8)],
             ))
             .expect("degraded requests do not queue");
         let r = &resp.results[0];
         assert_eq!(r.backend, "model");
         assert!(r.degraded, "zero budget rules simulation out");
         assert!(r.outcome.is_ok());
+        // A cell no simulation can run is refused, not degraded.
+        for r in &resp.results[1..] {
+            let err = r.outcome.as_ref().expect_err("invalid cell");
+            assert_eq!(err.code(), "invalid_cell");
+            assert_eq!((r.backend, r.degraded), ("sim", false));
+        }
         assert_eq!(svc.telemetry().snapshot().counter("serve.degraded"), 1);
         // The same cell with `sim` misses its deadline instead.
         let resp = svc
@@ -800,11 +834,6 @@ mod tests {
     #[test]
     fn invalid_cells_fail_as_values_next_to_valid_ones() {
         let svc = service(quick_config());
-        let window = |warmup: u64, instructions: u64| WireCell {
-            warmup: Some(warmup),
-            instructions: Some(instructions),
-            ..WireCell::new("modern-00", 8)
-        };
         let (resp, after) = with_workers(&svc, || {
             let resp = svc
                 .evaluate(&request(
@@ -818,6 +847,8 @@ mod tests {
                         window(0, 0),
                         window(u64::MAX, 5),
                         window(0, 10_000_000_000_000),
+                        // Model-evaluable, but no workload to simulate.
+                        custom(8),
                     ],
                 ))
                 .expect("admitted");
@@ -831,29 +862,24 @@ mod tests {
                 .expect("admitted");
             (resp, after)
         });
-        for i in [0, 2, 3, 4] {
+        for i in [0, 2, 3, 4, 5] {
             let err = resp.results[i].outcome.as_ref().expect_err("invalid cell");
             assert_eq!(err.code(), "invalid_cell", "cell {i}");
         }
         assert!(resp.results[1].outcome.is_ok(), "neighbour unaffected");
         assert!(after.results[0].outcome.is_ok(), "worker still serving");
+        // Invalid cells are answered before admission: only the two valid
+        // cells took a dispatch.
+        let snap = svc.telemetry().snapshot();
+        assert_eq!(snap.counter("serve.dispatch_cells"), 2);
+        assert_eq!(snap.counter("serve.enqueued"), 2);
     }
 
     #[test]
     fn unknown_workload_with_explicit_profile_is_model_evaluable() {
         let svc = service(quick_config());
-        let cell = WireCell {
-            profile: Some(pipedepth_core::eval::WorkloadProfile {
-                alpha: 2.0,
-                gamma: 0.4,
-                hazard_rate: 0.15,
-                kappa: 0.22,
-                memory_time_fo4: 12.0,
-            }),
-            ..WireCell::new("custom", 11)
-        };
         let resp = svc
-            .evaluate(&request(WireBackend::Model, None, vec![cell]))
+            .evaluate(&request(WireBackend::Model, None, vec![custom(11)]))
             .expect("model path");
         assert!(resp.results[0].outcome.is_ok());
     }

@@ -4,17 +4,33 @@
 //! These pin the service-level guarantees the unit tests cannot:
 //! coalescing observed end to end through `/metrics`, deterministic
 //! response bodies under concurrency, deadline degradation over the wire,
-//! backpressure as a real 429, and a graceful shutdown that drains
-//! in-flight work and yields the final stats line.
+//! backpressure as a real 429, a bounded pool of reused connection
+//! handlers, and a graceful shutdown that drains in-flight work and yields
+//! the final stats line.
 
 use pipedepth_experiments::sweep::RunConfig;
 use pipedepth_serve::json::{parse, Json};
+use pipedepth_serve::server::MAX_HANDLERS;
 use pipedepth_serve::service::ServiceConfig;
 use pipedepth_serve::Server;
 use pipedepth_telemetry::Telemetry;
 use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpStream};
+use std::sync::{PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::thread;
+
+/// Every test takes this shared, except the one that counts the process's
+/// threads, which takes it alone: no other test's threads start while it
+/// counts.
+static THREADS: RwLock<()> = RwLock::new(());
+
+fn shared() -> RwLockReadGuard<'static, ()> {
+    THREADS.read().unwrap_or_else(PoisonError::into_inner)
+}
+
+fn alone() -> RwLockWriteGuard<'static, ()> {
+    THREADS.write().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// A fast-simulating service configuration for tests.
 fn quick() -> ServiceConfig {
@@ -53,6 +69,11 @@ fn request(addr: SocketAddr, method: &str, target: &str, body: &str) -> (u16, St
     stream.write_all(raw.as_bytes()).expect("send");
     let mut response = String::new();
     stream.read_to_string(&mut response).expect("read");
+    split_response(&response)
+}
+
+/// Splits a raw response into (status, raw headers, body).
+fn split_response(response: &str) -> (u16, String, String) {
     let (head, body) = response
         .split_once("\r\n\r\n")
         .expect("header/body separator");
@@ -78,6 +99,7 @@ fn metric_counter(addr: SocketAddr, name: &str) -> u64 {
 
 #[test]
 fn concurrent_identical_requests_coalesce_and_agree() {
+    let _threads = shared();
     let (addr, handle) = start(quick());
     let body = r#"{"schema_version": 1, "backend": "sim", "cells": [
         {"workload": "legacy-00", "depth": 8},
@@ -139,6 +161,7 @@ fn concurrent_identical_requests_coalesce_and_agree() {
 
 #[test]
 fn zero_deadline_degrades_auto_over_the_wire() {
+    let _threads = shared();
     let (addr, handle) = start(quick());
     let body = r#"{"backend": "auto", "deadline_ms": 0, "cells": [
         {"workload": "fp-00", "depth": 9}
@@ -186,6 +209,7 @@ fn zero_deadline_degrades_auto_over_the_wire() {
 
 #[test]
 fn full_queue_sheds_with_retry_after() {
+    let _threads = shared();
     let (addr, handle) = start(ServiceConfig {
         queue_cap: 0,
         ..quick()
@@ -210,6 +234,7 @@ fn full_queue_sheds_with_retry_after() {
 
 #[test]
 fn health_metrics_optimum_and_errors() {
+    let _threads = shared();
     let (addr, handle) = start(quick());
     let (status, _, body) = request(addr, "GET", "/healthz", "");
     assert_eq!((status, body.as_str()), (200, "{\"status\": \"ok\"}"));
@@ -251,6 +276,7 @@ fn health_metrics_optimum_and_errors() {
 
 #[test]
 fn shutdown_drains_in_flight_requests() {
+    let _threads = shared();
     let (addr, handle) = start(quick());
     // A request that takes real simulation time…
     let client = thread::spawn(move || {
@@ -280,5 +306,84 @@ fn shutdown_drains_in_flight_requests() {
     for r in results {
         assert!(r.get("outcome").is_some(), "drained, not dropped: {body}");
     }
+    assert!(stats.starts_with("serve: "), "stats line: {stats}");
+}
+
+#[test]
+fn sequential_requests_reuse_one_handler() {
+    let _threads = shared();
+    let (addr, handle) = start(quick());
+    for _ in 0..200 {
+        let (status, _, _) = request(addr, "GET", "/healthz", "");
+        assert_eq!(status, 200);
+    }
+    // A handler counts itself idle before it closes the connection, so a
+    // client that reconnects on EOF always finds it free.
+    assert_eq!(metric_counter(addr, "serve.http.handlers_started"), 1);
+    assert_eq!(metric_counter(addr, "serve.http.rejected"), 0);
+    stop(addr, handle);
+}
+
+/// Threads of this process.
+#[cfg(target_os = "linux")]
+fn task_count() -> usize {
+    std::fs::read_dir("/proc/self/task")
+        .expect("procfs")
+        .count()
+}
+
+#[test]
+fn idle_connections_beyond_the_cap_get_503() {
+    let _threads = alone();
+    let (addr, handle) = start(quick());
+    // One exchange: the server thread, its dispatcher and a first handler
+    // are up.
+    assert_eq!(request(addr, "GET", "/healthz", "").0, 200);
+    #[cfg(target_os = "linux")]
+    let before = task_count();
+    // Idle clients that send nothing take every handler…
+    let idle: Vec<TcpStream> = (0..MAX_HANDLERS)
+        .map(|_| TcpStream::connect(addr).expect("connect"))
+        .collect();
+    // …so the accept loop answers the next ones itself, unread.
+    let extra = 4;
+    for _ in 0..extra {
+        let mut client = TcpStream::connect(addr).expect("connect");
+        let mut response = String::new();
+        client.read_to_string(&mut response).expect("read");
+        let (status, head, body) = split_response(&response);
+        assert_eq!(status, 503, "{response}");
+        assert!(head.contains("Retry-After: 1"), "headers: {head}");
+        let doc = parse(&body).expect("valid JSON");
+        assert_eq!(
+            doc.get("error")
+                .and_then(|e| e.get("code"))
+                .and_then(Json::as_str),
+            Some("overloaded")
+        );
+    }
+    #[cfg(target_os = "linux")]
+    {
+        let grown = task_count().saturating_sub(before);
+        assert!(
+            grown <= MAX_HANDLERS + 1,
+            "{grown} new threads for {} connections",
+            MAX_HANDLERS + extra
+        );
+    }
+    // The idle clients hang up. Each handler answers its client's EOF and
+    // counts itself idle before the client reads to the end.
+    for mut client in idle {
+        client.shutdown(Shutdown::Write).expect("hang up");
+        let mut rest = Vec::new();
+        client.read_to_end(&mut rest).expect("read");
+    }
+    assert_eq!(request(addr, "GET", "/healthz", "").0, 200);
+    assert_eq!(
+        metric_counter(addr, "serve.http.handlers_started"),
+        MAX_HANDLERS as u64
+    );
+    assert_eq!(metric_counter(addr, "serve.http.rejected"), extra as u64);
+    let stats = stop(addr, handle);
     assert!(stats.starts_with("serve: "), "stats line: {stats}");
 }
