@@ -5,7 +5,7 @@
 //! ```text
 //! cargo run --release -p pipedepth-experiments --bin repro -- \
 //!     [--quick] [--out DIR] [--only fig4,fig6] [--list] [--threads N] \
-//!     [--backend sim|model|both] [--timing-details] [--store DIR]
+//!     [--backend sim|model] [--timing-details] [--store DIR]
 //! ```
 //!
 //! The binary is a thin driver over the experiment registry: it selects
@@ -97,7 +97,7 @@ fn parse_args() -> Options {
                 eprintln!("unknown argument {other:?}");
                 eprintln!(
                     "usage: repro [--quick] [--out DIR] [--only a,b] [--list] [--threads N] \
-                     [--backend sim|model|both] [--timing-details] [--store DIR]"
+                     [--backend sim|model] [--timing-details] [--store DIR]"
                 );
                 exit(2);
             }
@@ -312,10 +312,6 @@ fn main() -> io::Result<()> {
 /// Renders the report's Telemetry section from the metric snapshot.
 fn telemetry_section(snapshot: &Snapshot) -> String {
     let mut s = String::from("\n## Telemetry\n\n");
-    if snapshot.is_empty() {
-        s.push_str("No metrics captured (telemetry compiled out via `--no-default-features`).\n");
-        return s;
-    }
     s.push_str("Full machine-readable snapshot in `manifest.json`.\n\n");
     s.push_str("| metric | value |\n|---|---|\n");
     for metric in &snapshot.metrics {

@@ -66,10 +66,6 @@ fn main() {
             })
         })
         .unwrap_or(Backend::Sim);
-    if backend == Backend::Both {
-        eprintln!("sweep compares one backend at a time; use --backend sim or --backend model");
-        std::process::exit(2);
-    }
 
     let config = RunConfig {
         warmup,

@@ -6,7 +6,7 @@
 //!
 //! * [`SimBackend`] — the cycle-accurate backend, adapting the cell
 //!   [`Runner`] (and its simulation cache) to the [`Evaluator`] trait;
-//! * [`Backend`] — the `--backend {sim,model,both}` selector shared by the
+//! * [`Backend`] — the `--backend {sim,model}` selector shared by the
 //!   `repro` and `sweep` binaries;
 //! * [`fitted_profile`] / [`model_curves`] — per-workload analytic
 //!   profiles (class means fitted from reference simulations, spread by a
@@ -38,27 +38,23 @@ pub enum Backend {
     Sim,
     /// Closed-form analytic model only: no simulator in the call path.
     Model,
-    /// Simulation as the primary source, with the analytic backend
-    /// available for cross-validation experiments.
-    Both,
 }
 
 impl Backend {
     /// Every backend, in documentation order.
-    pub const ALL: [Backend; 3] = [Backend::Sim, Backend::Model, Backend::Both];
+    pub const ALL: [Backend; 2] = [Backend::Sim, Backend::Model];
 
     /// The stable CLI name.
     pub fn as_str(self) -> &'static str {
         match self {
             Backend::Sim => "sim",
             Backend::Model => "model",
-            Backend::Both => "both",
         }
     }
 
     /// Whether this backend runs the simulator.
     pub fn uses_sim(self) -> bool {
-        matches!(self, Backend::Sim | Backend::Both)
+        self == Backend::Sim
     }
 }
 
@@ -76,7 +72,7 @@ impl fmt::Display for UnknownBackend {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "unknown backend \"{}\" (valid backends: sim, model, both)",
+            "unknown backend \"{}\" (valid backends: sim, model)",
             self.0
         )
     }
@@ -404,9 +400,10 @@ mod tests {
     fn backend_parses_and_rejects() {
         assert_eq!("sim".parse::<Backend>().unwrap(), Backend::Sim);
         assert_eq!("model".parse::<Backend>().unwrap(), Backend::Model);
-        assert_eq!("both".parse::<Backend>().unwrap(), Backend::Both);
-        let err = "cuda".parse::<Backend>().unwrap_err();
-        assert!(err.to_string().contains("valid backends: sim, model, both"));
+        for name in ["both", "cuda"] {
+            let err = name.parse::<Backend>().unwrap_err();
+            assert!(err.to_string().contains("valid backends: sim, model)"));
+        }
     }
 
     #[test]

@@ -115,7 +115,7 @@ impl Context {
     }
 
     /// The full-suite sweep, materialised on first use and shared
-    /// afterwards: simulated under the `sim`/`both` backends, evaluated in
+    /// afterwards: simulated under the `sim` backend, evaluated in
     /// closed form (no simulator in the call path) under `model`.
     pub fn curves(&self) -> &[WorkloadCurve] {
         self.curves.get_or_init(|| {

@@ -5,7 +5,7 @@
 //!   warmup + measurement windows, parallel across workloads);
 //! * [`extract`] — single-run extraction of the theory's parameters
 //!   (`α`, `γ`, `N_H/N_I`, κ) and assembly of the analytic model;
-//! * [`eval`] — backend selection (`--backend {sim,model,both}`) and the
+//! * [`eval`] — backend selection (`--backend {sim,model}`) and the
 //!   simulation side of the backend-agnostic
 //!   [`Evaluator`](pipedepth_core::Evaluator) layer;
 //! * [`figures`] — one driver per figure: Fig. 1 (optimality quartic),

@@ -59,7 +59,7 @@ pub struct Manifest {
     /// Persistent-store counters; `None` when the run had no `--store`.
     pub store: Option<StoreStats>,
     /// Snapshot of every telemetry metric (empty when telemetry is
-    /// disabled or compiled out).
+    /// disabled).
     pub metrics: Snapshot,
     /// Total wall time of the run.
     pub total_wall: Duration,

@@ -606,7 +606,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(feature = "telemetry")]
     fn telemetry_counters_are_thread_count_invariant() {
         let ws = representatives();
         let cfg = tiny();
@@ -694,7 +693,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(feature = "telemetry")]
     fn sweep_kernel_groups_whole_depth_sweeps() {
         let ws = representatives();
         let cfg = tiny();
@@ -719,7 +717,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(feature = "telemetry")]
     fn singletons_are_one_lane_groups() {
         let ws = representatives();
         let single_depth = RunConfig {
@@ -736,7 +733,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(feature = "telemetry")]
     fn kernel_groups_custom_machines_separately() {
         // Width-2 cells group with each other but never with the paper
         // machine: grouping compares the full depth-neutralised config.

@@ -167,7 +167,6 @@ fn quick_artifacts_are_deterministic_and_well_formed() {
     );
     assert!(masked.contains("\"digest\": "));
     assert!(masked.contains("\"hit_rate\": "));
-    #[cfg(feature = "telemetry")]
     for metric in [
         "\"sim.instructions\"",
         "\"sim.stage.hazard.control.events\"",

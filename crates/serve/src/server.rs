@@ -418,6 +418,7 @@ fn render_metrics(telemetry: &Telemetry) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::Json;
 
     #[test]
     fn metrics_render_as_json_with_quantiles() {
@@ -428,20 +429,14 @@ mod tests {
             .record(7.0);
         let body = render_metrics(&telemetry);
         let doc = crate::json::parse(&body).expect("valid JSON");
-        #[cfg(feature = "telemetry")]
-        {
-            use crate::json::Json;
-            assert_eq!(
-                doc.get("serve.requests")
-                    .and_then(|m| m.get("value"))
-                    .and_then(Json::as_u64),
-                Some(3)
-            );
-            let hist = doc.get("serve.request_us").expect("histogram present");
-            assert_eq!(hist.get("p50").and_then(Json::as_f64), Some(7.0));
-            assert_eq!(hist.get("p99").and_then(Json::as_f64), Some(7.0));
-        }
-        #[cfg(not(feature = "telemetry"))]
-        assert_eq!(doc, crate::json::Json::Object(Vec::new()));
+        assert_eq!(
+            doc.get("serve.requests")
+                .and_then(|m| m.get("value"))
+                .and_then(Json::as_u64),
+            Some(3)
+        );
+        let hist = doc.get("serve.request_us").expect("histogram present");
+        assert_eq!(hist.get("p50").and_then(Json::as_f64), Some(7.0));
+        assert_eq!(hist.get("p99").and_then(Json::as_f64), Some(7.0));
     }
 }

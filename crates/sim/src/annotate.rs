@@ -532,7 +532,6 @@ mod tests {
         assert!(!store.is_empty());
     }
 
-    #[cfg(feature = "telemetry")]
     #[test]
     fn store_telemetry_mirrors_stats() {
         let telemetry = Telemetry::new();

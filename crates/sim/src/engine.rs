@@ -891,7 +891,6 @@ mod tests {
         assert!(e.exec_core().finish_cycle() >= r.cycles);
     }
 
-    #[cfg(feature = "telemetry")]
     #[test]
     fn run_flushes_aggregate_counters() {
         let telemetry = Telemetry::new();

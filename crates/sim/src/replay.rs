@@ -690,7 +690,6 @@ mod tests {
         assert!(replay(&notes, bad, 0, 100).is_err());
     }
 
-    #[cfg(feature = "telemetry")]
     #[test]
     fn sweep_flushes_engine_identical_counters() {
         // The batch's flushed counters must equal the sum of one engine

@@ -1,4 +1,4 @@
-//! The live (capturing) implementation behind the `capture` feature.
+//! The metrics registry and its recording handles.
 //!
 //! A [`Telemetry`] handle is a cheap clone of an `Arc`'d registry. Metric
 //! handles ([`Counter`], [`Gauge`], [`Histogram`]) are resolved once by

@@ -7,17 +7,11 @@
 //! cell runner) accept a handle and record into it; the `repro` driver
 //! snapshots the registry into `results/manifest.json`.
 //!
-//! Two mechanisms keep the cost out of the simulation hot path:
-//!
-//! * **No-op handles.** [`Telemetry::disabled`] returns a handle with no
-//!   registry behind it; every recording call is a single predictable
-//!   branch. Layers flush *aggregate* counts once per simulation run, so
-//!   even an enabled handle costs a handful of atomic adds per cell, not
-//!   per instruction.
-//! * **The `capture` feature.** With the feature off (build with
-//!   `--no-default-features`), every type in this crate is a zero-sized
-//!   stub and every method an inlined empty body: telemetry compiles out
-//!   entirely.
+//! Telemetry switches off at run time: [`Telemetry::disabled`] returns a
+//! handle with no registry behind it, and every recording call through it
+//! is a single predictable branch. Layers flush *aggregate* counts once
+//! per simulation run, so even an enabled handle costs a handful of
+//! atomic adds per cell, not per instruction.
 //!
 //! Counters aggregate with relaxed atomic adds, which are commutative, so
 //! counter snapshots are **deterministic for any thread count**. Timing
@@ -44,21 +38,13 @@
 //!     // ... timed work ...
 //! }
 //! let snapshot = telemetry.snapshot();
-//! # #[cfg(feature = "capture")]
 //! assert_eq!(snapshot.counter("sim.instructions"), 1_000);
 //! ```
 
 pub mod json;
 
-#[cfg(feature = "capture")]
 mod capture;
-#[cfg(feature = "capture")]
 pub use capture::{Counter, Gauge, Histogram, Span, Telemetry};
-
-#[cfg(not(feature = "capture"))]
-mod noop;
-#[cfg(not(feature = "capture"))]
-pub use noop::{Counter, Gauge, Histogram, Span, Telemetry};
 
 /// A wall-clock stopwatch for phase and cell timing.
 ///
@@ -67,9 +53,6 @@ pub use noop::{Counter, Gauge, Histogram, Span, Telemetry};
 /// `std::time::Instant` in every other crate, so all wall-time
 /// measurements are routed through here and named `*_us` where they land
 /// in metrics — which lets artifact comparisons mask them uniformly.
-/// Unlike the metric types, the stopwatch is available even with the
-/// `capture` feature off; readings feed gauges and histograms that
-/// compile to no-ops in that configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct Stopwatch(std::time::Instant);
 

@@ -2,8 +2,6 @@
 //! interleavings, histogram bucketing, snapshot ordering, and the no-op
 //! handle contract.
 
-#![cfg(feature = "capture")]
-
 use pipedepth_telemetry::{MetricValue, Telemetry};
 
 #[test]

@@ -563,7 +563,6 @@ mod tests {
         assert_eq!(gen.emitted(), 10_001);
     }
 
-    #[cfg(feature = "telemetry")]
     #[test]
     fn telemetry_counts_generated_instructions() {
         let telemetry = Telemetry::new();
@@ -583,7 +582,6 @@ mod tests {
         assert_eq!(snap.counter("trace.generators_created"), 1);
     }
 
-    #[cfg(feature = "telemetry")]
     #[test]
     fn telemetry_does_not_perturb_the_stream() {
         let telemetry = Telemetry::new();

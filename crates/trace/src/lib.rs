@@ -20,9 +20,7 @@
 //! * [`hash`] — structural FNV-1a hashing over field bit patterns, the
 //!   content-addressing primitive used by the annotation store and the
 //!   sim cache;
-//! * [`stats`] — aggregate trace statistics for validation and reporting;
-//! * [`codec`] — a compact binary trace format (generate once, replay
-//!   anywhere).
+//! * [`stats`] — aggregate trace statistics for validation and reporting.
 //!
 //! # Why this substitution preserves the paper's behaviour
 //!
@@ -44,7 +42,6 @@
 
 pub mod arena;
 pub mod blob;
-pub mod codec;
 pub mod generator;
 pub mod hash;
 pub mod isa;

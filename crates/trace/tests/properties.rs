@@ -1,45 +1,9 @@
 //! Property-based tests for the trace substrate.
 
-use pipedepth_trace::codec::{decode, encode};
-use pipedepth_trace::isa::{BranchInfo, Instruction, MemRef, OpClass, Reg};
+use pipedepth_trace::isa::OpClass;
 use pipedepth_trace::model::{BranchModel, InstructionMix, MemoryModel, WorkloadModel};
 use pipedepth_trace::{TraceGenerator, TraceStats};
 use proptest::prelude::*;
-
-fn arb_reg() -> impl Strategy<Value = Reg> {
-    (any::<bool>(), 0u8..16).prop_map(|(fp, i)| if fp { Reg::fpr(i) } else { Reg::gpr(i) })
-}
-
-fn arb_class() -> impl Strategy<Value = OpClass> {
-    prop::sample::select(OpClass::ALL.to_vec())
-}
-
-prop_compose! {
-    fn arb_instruction()(
-        pc in 0u64..1 << 40,
-        class in arb_class(),
-        dst in prop::option::of(arb_reg()),
-        src0 in prop::option::of(arb_reg()),
-        src1 in prop::option::of(arb_reg()),
-        addr in 0u64..1 << 40,
-        size in 1u8..16,
-        taken in any::<bool>(),
-        target in 0u64..1 << 40,
-        serial in any::<bool>(),
-    ) -> Instruction {
-        let mut i = Instruction::new(pc, class);
-        i.dst = dst;
-        i.src = [src0, src1];
-        if class.is_memory() {
-            i.mem = Some(MemRef { addr, size });
-        }
-        if class == OpClass::Branch {
-            i.branch = Some(BranchInfo { taken, target });
-        }
-        i.serial = serial;
-        i
-    }
-}
 
 fn arb_model() -> impl Strategy<Value = WorkloadModel> {
     (
@@ -65,33 +29,6 @@ fn arb_model() -> impl Strategy<Value = WorkloadModel> {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
-
-    #[test]
-    fn decode_never_panics_on_garbage(bytes in prop::collection::vec(any::<u8>(), 0..512)) {
-        // Whatever the bytes, decode returns Ok or Err — it never panics
-        // and never allocates unboundedly.
-        let _ = decode(&bytes[..]);
-    }
-
-    #[test]
-    fn decode_never_panics_on_corrupted_valid_stream(
-        seed in any::<u64>(), flip in 0usize..1000, bit in 0u8..8
-    ) {
-        let trace = TraceGenerator::new(WorkloadModel::spec_int_like(), seed).take_vec(50);
-        let mut buf = Vec::new();
-        encode(&trace, &mut buf).unwrap();
-        let idx = flip % buf.len();
-        buf[idx] ^= 1 << bit;
-        let _ = decode(&buf[..]);
-    }
-
-    #[test]
-    fn codec_roundtrips_arbitrary_traces(trace in prop::collection::vec(arb_instruction(), 0..200)) {
-        let mut buf = Vec::new();
-        encode(&trace, &mut buf).expect("vec write cannot fail");
-        let back = decode(&buf[..]).expect("decode what we encoded");
-        prop_assert_eq!(back, trace);
-    }
 
     #[test]
     fn generator_is_deterministic(model in arb_model(), seed in any::<u64>()) {

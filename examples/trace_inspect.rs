@@ -1,17 +1,15 @@
-//! Trace tooling: generate a synthetic trace, inspect its statistics,
-//! round-trip it through the binary codec, and replay it against two
-//! pipeline depths.
+//! Trace tooling: generate a synthetic trace, inspect its statistics, and
+//! replay it against two pipeline depths.
 //!
 //! ```text
 //! cargo run --release --example trace_inspect
 //! ```
 
-use pipedepth::trace::codec::{decode, encode};
 use pipedepth::trace::isa::OpClass;
 use pipedepth::trace::TraceStats;
 use pipedepth::{Engine, SimConfig, TraceGenerator, WorkloadModel};
 
-fn main() -> Result<(), Box<dyn std::error::Error>> {
+fn main() {
     let model = WorkloadModel::modern_like();
     let mut gen = TraceGenerator::new(model, 2026);
     let trace = gen.take_vec(50_000);
@@ -39,24 +37,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     println!("distinct cache lines  : {}", stats.distinct_lines);
 
-    // ---- Codec round trip --------------------------------------------------
-    let mut buf = Vec::new();
-    encode(&trace, &mut buf)?;
-    println!(
-        "\nencoded to {} bytes ({:.1} bytes/instruction)",
-        buf.len(),
-        buf.len() as f64 / trace.len() as f64
-    );
-    let back = decode(&buf[..])?;
-    assert_eq!(back, trace, "codec round trip is lossless");
-    println!("decode round trip OK");
-
     // ---- Replay against two machines ---------------------------------------
     println!("\nreplaying the same trace at two depths:");
     for depth in [6u32, 18] {
         let mut engine = Engine::new(SimConfig::paper(depth));
-        let mut stream = back.iter().copied();
-        let report = engine.run(&mut stream, back.len() as u64);
+        let mut stream = trace.iter().copied();
+        let report = engine.run(&mut stream, trace.len() as u64);
         println!(
             "  depth {depth:>2}: CPI {:.2}, {:>6.1} FO4/instr, mispredict {:>4.1}%, L1 miss {:>4.1}%",
             report.cpi(),
@@ -65,5 +51,4 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             report.l1_miss_rate * 100.0,
         );
     }
-    Ok(())
 }

@@ -14,7 +14,7 @@
 //! * [`workloads`] ([`pipedepth_workloads`]) — the 55-workload suite;
 //! * [`experiments`] ([`pipedepth_experiments`]) — per-figure drivers;
 //! * [`telemetry`] ([`pipedepth_telemetry`]) — metrics for the sim/runner
-//!   stack (compiled out without the `telemetry` feature).
+//!   stack.
 //!
 //! The blessed types of each layer are additionally re-exported at the
 //! crate root — `pipedepth::{Engine, SimConfig, TraceGenerator, Runner,
