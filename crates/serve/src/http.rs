@@ -7,9 +7,11 @@
 //! balloon memory. No chunked encoding, no keep-alive, no TLS — this is
 //! an experiment-control endpoint, not an internet-facing server.
 
+use pipedepth_telemetry::Stopwatch;
 use std::fmt::Write as _;
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
+use std::time::Duration;
 
 /// Longest accepted request line, in bytes.
 const MAX_REQUEST_LINE: usize = 8 * 1024;
@@ -106,14 +108,51 @@ fn read_line(reader: &mut impl BufRead, cap: usize) -> Result<String, HttpError>
     String::from_utf8(line).map_err(|_| HttpError::bad_request("non-UTF-8 header data"))
 }
 
-/// Reads and parses one request from the stream.
+/// How long the server waits for a client's whole request — request line,
+/// headers and body — counted from the call to [`read_request`]. Bounds
+/// how long an idle or trickling client holds a connection handler, and
+/// how long shutdown can wait on one.
+const READ_TIMEOUT: Duration = Duration::from_secs(5);
+
+/// Reads and parses one request from the stream, within `READ_TIMEOUT`
+/// (5 s).
 ///
 /// # Errors
 ///
 /// [`HttpError`] with a client-appropriate status: 400 for malformed
-/// syntax, 413 for oversized bodies, 431 for oversized header lines.
+/// syntax or a request not complete in time, 413 for oversized bodies,
+/// 431 for oversized header lines.
 pub fn read_request(stream: &mut TcpStream) -> Result<Request, HttpError> {
-    let mut reader = BufReader::new(stream);
+    parse_request(BufReader::new(Deadline {
+        stream,
+        started: Stopwatch::start(),
+        budget: READ_TIMEOUT,
+    }))
+}
+
+/// A socket reader whose reads share one deadline, `budget` after
+/// `started`: before each read from the socket, the read timeout is set to
+/// the time left, and once none is left the read fails as timed out. A
+/// client that trickles its bytes fails as one that stalls does.
+struct Deadline<'a> {
+    stream: &'a mut TcpStream,
+    started: Stopwatch,
+    budget: Duration,
+}
+
+impl Read for Deadline<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        let elapsed = Duration::from_secs_f64(self.started.elapsed_us() / 1e6);
+        let left = self.budget.saturating_sub(elapsed);
+        if left.is_zero() {
+            return Err(io::ErrorKind::TimedOut.into());
+        }
+        self.stream.set_read_timeout(Some(left))?;
+        self.stream.read(buf)
+    }
+}
+
+fn parse_request(mut reader: impl BufRead) -> Result<Request, HttpError> {
     let request_line = read_line(&mut reader, MAX_REQUEST_LINE)?;
     let mut parts = request_line.split(' ');
     let method = parts
@@ -324,6 +363,42 @@ mod tests {
         let err = parse_over_socket(b"GET /x HTTP/1.1\r\nbroken header line\r\n\r\n")
             .expect_err("bad header");
         assert_eq!(err.status, 400);
+    }
+
+    #[test]
+    fn a_trickled_request_fails_at_its_deadline() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("ephemeral port");
+        let addr = listener.local_addr().expect("bound");
+        let raw = b"GET /healthz HTTP/1.1\r\nHost: loopback\r\n\r\n";
+        let gap = Duration::from_millis(50);
+        let writer = thread::spawn(move || {
+            let mut client = TcpStream::connect(addr).expect("connect");
+            for byte in raw {
+                if client.write_all(&[*byte]).is_err() {
+                    break;
+                }
+                thread::sleep(gap);
+            }
+        });
+        let (mut conn, _) = listener.accept().expect("accept");
+        let started = Stopwatch::start();
+        let parsed = parse_request(BufReader::new(Deadline {
+            stream: &mut conn,
+            started,
+            budget: Duration::from_millis(200),
+        }));
+        let took_ms = started.elapsed_us() / 1e3;
+        drop(conn);
+        writer.join().expect("writer");
+        // Every byte arrives within 50 ms of the last, so a timeout per
+        // read would wait out the whole trickle and parse it.
+        let trickle_ms = raw.len() as f64 * 50.0;
+        let err = parsed.expect_err("the deadline passes mid-request");
+        assert_eq!(err.status, 400, "{err}");
+        assert!(
+            took_ms < trickle_ms / 2.0,
+            "read took {took_ms} ms of a {trickle_ms} ms trickle"
+        );
     }
 
     #[test]

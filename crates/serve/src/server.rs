@@ -3,41 +3,39 @@
 //! [`Server::bind`] opens the listener and builds the [`EvalService`];
 //! [`Server::run`] blocks serving requests until `POST /v1/shutdown`,
 //! then drains in the only safe order: stop accepting, let the connection
-//! handlers serve every connection they were handed (so every admitted
-//! request gets its response), close the batch queue (dispatch workers
-//! finish what was queued and exit), join the workers, and return a final
-//! stats line for the operator.
+//! handlers finish the connections they hold (so every admitted request
+//! gets its response), close the batch queue (dispatch workers finish
+//! what was queued and exit), join the workers, and return a final stats
+//! line for the operator.
 //!
 //! Every response carries `Connection: close`, and connections are served
-//! by a pool of at most [`MAX_HANDLERS`](crate::server::MAX_HANDLERS)
-//! handler threads. The accept loop hands each stream to an idle handler,
-//! starts a new handler only when no idle one is free to take it, and
-//! answers 503 itself beyond the cap. Handlers are reused, so a request
-//! costs no thread spawn; the cap only keeps idle or slow clients from
-//! holding unbounded threads. The service's ceiling on work is still the
-//! batch queue.
+//! by a pool of handler threads that each accept from the shared listener
+//! themselves, so nothing stands between `accept` and the thread that
+//! serves. At most [`MAX_HANDLERS`](crate::server::MAX_HANDLERS)
+//! connections are in service at once; a handler that takes one beyond
+//! that answers it 503. A connection stays in service until its response
+//! is written, and a handler that takes the last free thread's place
+//! starts one more, so one thread is always accepting, even while slow
+//! readers hold handlers in their writes. Handlers are reused, so a
+//! request costs no thread spawn; the cap only keeps idle or slow clients
+//! from holding unbounded threads. The service's ceiling on work is still
+//! the batch queue.
 
 use crate::batch::Shed;
 use crate::http::{read_request, respond, Request};
 use crate::service::{EvalService, ServiceConfig};
 use crate::wire::v1::{encode_error, DecodeError, EvaluateRequest};
-use pipedepth_telemetry::{json::number, MetricValue, Telemetry};
-use std::collections::VecDeque;
+use pipedepth_telemetry::{json::number, Counter, MetricValue, Telemetry};
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
-use std::thread;
-use std::time::Duration;
+use std::panic::{self, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::Arc;
+use std::thread::{self, Scope};
 
-/// Most connection handler threads alive at once. A connection that finds
-/// all of them busy is answered 503 by the accept loop.
+/// Most connections in service at once. A connection that arrives while
+/// all of them are taken is answered 503 by the handler that accepts it.
 pub const MAX_HANDLERS: usize = 64;
-
-/// How long a handler waits on any one read from its client. Bounds how
-/// long an idle client holds a handler, and how long shutdown can wait on
-/// a silent one.
-const READ_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// A bound evaluation server. Dropping it without [`Server::run`] simply
 /// closes the socket.
@@ -87,46 +85,11 @@ impl Server {
                 thread::spawn(move || service.dispatch_loop())
             })
             .collect();
-        let shared = Arc::new(Shared {
-            service: Arc::clone(&self.service),
-            handoff: Handoff::default(),
-            shutdown: AtomicBool::new(false),
-            addr: self.local_addr().ok(),
-        });
-        let telemetry = self.service.telemetry();
-        let started = telemetry.counter("serve.http.handlers_started");
-        let rejected = telemetry.counter("serve.http.rejected");
-        let mut handlers: Vec<thread::JoinHandle<()>> = Vec::new();
-        for stream in self.listener.incoming() {
-            if shared.shutdown.load(Ordering::SeqCst) {
-                // The waking connection (or a late client) — drop it
-                // unanswered and stop accepting.
-                break;
-            }
-            let Ok(stream) = stream else { continue };
-            let Err(stream) = shared.handoff.offer(stream) else {
-                continue;
-            };
-            if handlers.len() >= MAX_HANDLERS {
-                // Handlers run until the hand-off closes, so one that has
-                // finished panicked; it frees its slot.
-                handlers.retain(|handle| !handle.is_finished());
-            }
-            if handlers.len() < MAX_HANDLERS {
-                started.inc();
-                let shared = Arc::clone(&shared);
-                handlers.push(thread::spawn(move || shared.serve(stream)));
-            } else {
-                rejected.inc();
-                refuse(stream);
-            }
-        }
-        // Drain: handlers serve every stream they were handed, then exit,
-        // so no admitted request is dropped before the queue closes.
-        shared.handoff.close();
-        for handle in handlers {
-            let _ = handle.join();
-        }
+        // The calling thread is the first handler. The scope joins every
+        // handler, so each finishes the connection it holds before the
+        // queue closes: no admitted request is dropped.
+        let pool = self.pool();
+        thread::scope(|scope| pool.handle(scope));
         self.service.close();
         for handle in dispatchers {
             let _ = handle.join();
@@ -137,103 +100,104 @@ impl Server {
         self.service.finish_store();
         self.service.stats_line()
     }
+
+    fn pool(&self) -> Pool<'_> {
+        let telemetry = self.service.telemetry();
+        Pool {
+            listener: &self.listener,
+            service: &self.service,
+            addr: self.local_addr().ok(),
+            shutdown: AtomicBool::new(false),
+            threads: AtomicUsize::new(1),
+            serving: AtomicUsize::new(0),
+            started: telemetry.counter("serve.http.handlers_started"),
+            rejected: telemetry.counter("serve.http.rejected"),
+        }
+    }
 }
 
-/// What the accept loop shares with every handler thread.
+/// What every handler thread shares.
 #[derive(Debug)]
-struct Shared {
-    service: Arc<EvalService>,
-    handoff: Handoff,
-    /// Set by `POST /v1/shutdown`; the accept loop stops on its next wake.
-    shutdown: AtomicBool,
-    /// The listener's address, which the shutdown handler connects to in
-    /// order to wake the accept loop.
+struct Pool<'a> {
+    listener: &'a TcpListener,
+    service: &'a EvalService,
+    /// The listener's address, which a stopping handler connects to in
+    /// order to wake the next one blocked in `accept`.
     addr: Option<SocketAddr>,
+    /// Set by `POST /v1/shutdown`; each handler stops on its next wake.
+    shutdown: AtomicBool,
+    /// Live handler threads, the one that called [`Server::run`] included.
+    threads: AtomicUsize,
+    /// Connections in service, at most [`MAX_HANDLERS`].
+    serving: AtomicUsize,
+    started: Counter,
+    rejected: Counter,
 }
 
-impl Shared {
-    /// A handler thread's body: serves `first`, then each stream the
-    /// hand-off gives it, until the hand-off closes.
-    fn serve(&self, first: TcpStream) {
-        let mut next = Some(first);
-        while let Some(mut stream) = next {
-            handle_connection(&mut stream, self);
-            next = self.handoff.next(stream);
-        }
-    }
-}
-
-/// The accept loop's hand-off to idle handler threads. Each queued stream
-/// is spoken for by a handler that counted itself idle, so no stream waits
-/// behind a busy one.
-#[derive(Debug, Default)]
-struct Handoff {
-    state: Mutex<HandoffState>,
-    ready: Condvar,
-}
-
-#[derive(Debug, Default)]
-struct HandoffState {
-    /// Accepted streams no handler has taken yet.
-    queued: VecDeque<TcpStream>,
-    /// Handlers that finished a connection and have not taken another.
-    idle: usize,
-    /// Set once the accept loop has stopped; handlers exit when `queued`
-    /// is empty.
-    closed: bool,
-}
-
-impl Handoff {
-    /// Queues `stream` for an idle handler, or hands it back when every
-    /// idle handler already has a stream queued for it.
-    fn offer(&self, stream: TcpStream) -> Result<(), TcpStream> {
-        let mut state = self.lock();
-        if state.idle <= state.queued.len() {
-            return Err(stream);
-        }
-        state.queued.push_back(stream);
-        self.ready.notify_one();
-        Ok(())
-    }
-
-    /// Counts the calling handler idle, closes the connection it has just
-    /// served, then waits for its next stream; `None` once the hand-off is
-    /// closed and empty. Counting itself idle before the close means a
-    /// client that reconnects on seeing EOF always finds this handler free.
-    fn next(&self, served: TcpStream) -> Option<TcpStream> {
-        self.lock().idle += 1;
-        drop(served);
-        let mut state = self.lock();
-        loop {
-            if let Some(stream) = state.queued.pop_front() {
-                state.idle -= 1;
-                return Some(stream);
+impl<'a> Pool<'a> {
+    /// A handler thread's body: accept, serve, repeat until shutdown.
+    fn handle<'s>(&'s self, scope: &'s Scope<'s, 'a>) {
+        while !self.shutdown.load(Ordering::SeqCst) {
+            let accepted = self.listener.accept();
+            if self.shutdown.load(Ordering::SeqCst) {
+                // The waking connection (or a late client) — drop it
+                // unanswered.
+                break;
             }
-            if state.closed {
-                return None;
+            let Ok((stream, _)) = accepted else { continue };
+            if self.claim(scope) {
+                self.serve(stream, |stream| handle_connection(stream, self));
+            } else {
+                self.rejected.inc();
+                refuse(stream);
             }
-            state = self
-                .ready
-                .wait(state)
-                .unwrap_or_else(PoisonError::into_inner);
+        }
+        // Wake the next handler blocked in `accept`, so it sees the flag
+        // too and wakes the one after it.
+        if let Some(addr) = self.addr {
+            let _ = TcpStream::connect(addr);
         }
     }
 
-    /// Stops the hand-off: handlers serve what is queued, then exit.
-    fn close(&self) {
-        self.lock().closed = true;
-        self.ready.notify_all();
+    /// Takes a serving slot for a connection just accepted; `false` when
+    /// all [`MAX_HANDLERS`] are taken. A claim that leaves no thread free
+    /// to accept starts one more handler, so at most `MAX_HANDLERS + 1`
+    /// threads exist.
+    fn claim<'s>(&'s self, scope: &'s Scope<'s, 'a>) -> bool {
+        let serving = self.serving.fetch_add(1, Ordering::SeqCst) + 1;
+        if serving > MAX_HANDLERS {
+            self.serving.fetch_sub(1, Ordering::SeqCst);
+            return false;
+        }
+        let grew = self
+            .threads
+            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |threads| {
+                (serving >= threads && threads <= MAX_HANDLERS).then_some(threads + 1)
+            });
+        if grew.is_ok() {
+            self.started.inc();
+            scope.spawn(move || self.handle(scope));
+        }
+        true
     }
 
-    fn lock(&self) -> MutexGuard<'_, HandoffState> {
-        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    /// Serves one connection in the slot its claim took, and frees the
+    /// slot once the response is written but before the connection
+    /// closes, so a client that reconnects on EOF finds a handler free. A
+    /// handler blocked writing to a slow reader keeps its slot, so the
+    /// claims of later connections see it busy and keep a thread
+    /// accepting. A panic while serving also frees the slot and drops the
+    /// connection; the thread stays in the pool.
+    fn serve(&self, mut stream: TcpStream, handle: impl FnOnce(&mut TcpStream)) {
+        let _ = panic::catch_unwind(AssertUnwindSafe(|| handle(&mut stream)));
+        self.serving.fetch_sub(1, Ordering::SeqCst);
     }
 }
 
-/// Answers a connection beyond [`MAX_HANDLERS`] from the accept loop,
-/// without reading its request. An idle client reads the 503; one that
-/// has already sent its request may see a reset instead, because the
-/// close discards its unread bytes.
+/// Answers a connection beyond [`MAX_HANDLERS`] from the handler that
+/// accepted it, without reading its request. An idle client reads the
+/// 503; one that has already sent its request may see a reset instead,
+/// because the close discards its unread bytes.
 fn refuse(mut stream: TcpStream) {
     respond(
         &mut stream,
@@ -248,9 +212,8 @@ fn refuse(mut stream: TcpStream) {
 }
 
 /// Serves one connection: parse, route, respond. The caller closes it.
-fn handle_connection(stream: &mut TcpStream, shared: &Shared) {
-    let service = &*shared.service;
-    let _ = stream.set_read_timeout(Some(READ_TIMEOUT));
+fn handle_connection(stream: &mut TcpStream, pool: &Pool<'_>) {
+    let service = pool.service;
     let request = match read_request(stream) {
         Ok(request) => request,
         Err(e) => {
@@ -282,11 +245,9 @@ fn handle_connection(stream: &mut TcpStream, shared: &Shared) {
                 &[],
                 "{\"status\": \"shutting down\"}",
             );
-            shared.shutdown.store(true, Ordering::SeqCst);
-            // Wake the accept loop so it notices the flag.
-            if let Some(addr) = shared.addr {
-                let _ = TcpStream::connect(addr);
-            }
+            // Every handler stops once it next wakes; this one wakes the
+            // first when it returns to its loop.
+            pool.shutdown.store(true, Ordering::SeqCst);
         }
         (_, "/v1/evaluate" | "/v1/optimum" | "/v1/shutdown" | "/healthz" | "/metrics") => respond(
             stream,
@@ -419,6 +380,48 @@ fn render_metrics(telemetry: &Telemetry) -> String {
 mod tests {
     use super::*;
     use crate::json::Json;
+    use std::io::{Read, Write};
+
+    /// Sends `raw` on a fresh connection and reads until the server
+    /// closes it.
+    fn exchange(addr: SocketAddr, raw: &str) -> String {
+        let mut client = TcpStream::connect(addr).expect("connect");
+        client.write_all(raw.as_bytes()).expect("send");
+        let mut response = String::new();
+        let _ = client.read_to_string(&mut response);
+        response
+    }
+
+    #[test]
+    fn a_panicking_connection_frees_its_slot() {
+        let config = ServiceConfig {
+            threads: 1,
+            ..ServiceConfig::default()
+        };
+        let server = Server::bind("127.0.0.1:0", config, Telemetry::new()).expect("bind :0");
+        let addr = server.local_addr().expect("bound address");
+        let pool = server.pool();
+        let (serving, health) = thread::scope(|scope| {
+            let client = TcpStream::connect(addr).expect("connect");
+            let (stream, _) = server.listener.accept().expect("accept");
+            // The claim takes the only thread's place, so it starts the
+            // handler that answers below.
+            assert!(pool.claim(scope));
+            let _ = panic::catch_unwind(AssertUnwindSafe(|| {
+                pool.serve(stream, |_| panic!("deliberate handler panic"))
+            }));
+            let serving = pool.serving.load(Ordering::SeqCst);
+            drop(client);
+            // Shut down before any assertion, so a failure cannot leave
+            // the started handler blocked in `accept`.
+            let health = exchange(addr, "GET /healthz HTTP/1.1\r\n\r\n");
+            exchange(addr, "POST /v1/shutdown HTTP/1.1\r\n\r\n");
+            (serving, health)
+        });
+        assert_eq!(serving, 0, "the panicking connection's slot is free");
+        assert!(health.starts_with("HTTP/1.1 200 OK\r\n"), "{health}");
+        assert_eq!(pool.serving.load(Ordering::SeqCst), 0);
+    }
 
     #[test]
     fn metrics_render_as_json_with_quantiles() {

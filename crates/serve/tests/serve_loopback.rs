@@ -18,6 +18,7 @@ use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::sync::{PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::thread;
+use std::time::Duration;
 
 /// Every test takes this shared, except the one that counts the process's
 /// threads, which takes it alone: no other test's threads start while it
@@ -317,11 +318,135 @@ fn sequential_requests_reuse_one_handler() {
         let (status, _, _) = request(addr, "GET", "/healthz", "");
         assert_eq!(status, 200);
     }
-    // A handler counts itself idle before it closes the connection, so a
-    // client that reconnects on EOF always finds it free.
+    // A handler frees its slot before it closes the connection, so a
+    // client that reconnects on EOF always finds a handler free.
     assert_eq!(metric_counter(addr, "serve.http.handlers_started"), 1);
     assert_eq!(metric_counter(addr, "serve.http.rejected"), 0);
     stop(addr, handle);
+}
+
+/// A `GET` that reads the head and exactly `Content-Length` body bytes,
+/// then hangs up without waiting for EOF. Returns the status.
+fn get_to_content_length(addr: SocketAddr, target: &str) -> u16 {
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    let raw = format!("GET {target} HTTP/1.1\r\nHost: loopback\r\n\r\n");
+    stream.write_all(raw.as_bytes()).expect("send");
+    let mut response = Vec::new();
+    let mut chunk = [0u8; 1024];
+    loop {
+        let n = stream.read(&mut chunk).expect("read");
+        assert!(n > 0, "EOF before the whole response");
+        response.extend_from_slice(&chunk[..n]);
+        let text = std::str::from_utf8(&response).expect("UTF-8 response");
+        if let Some((head, body)) = text.split_once("\r\n\r\n") {
+            let length: usize = head
+                .lines()
+                .find_map(|line| line.strip_prefix("Content-Length: "))
+                .and_then(|value| value.parse().ok())
+                .expect("Content-Length");
+            if body.len() >= length {
+                return split_response(text).0;
+            }
+        }
+    }
+}
+
+#[test]
+fn clients_that_reconnect_on_content_length_reuse_the_pool() {
+    let _threads = shared();
+    let (addr, handle) = start(quick());
+    for _ in 0..200 {
+        assert_eq!(get_to_content_length(addr, "/healthz"), 200);
+    }
+    // A handler frees its slot only once its write has returned, so a
+    // client that reconnects as soon as it has read the response finds
+    // every handler busy whenever each one is descheduled between its
+    // write and its release; that starts a handler now and then (at most
+    // 5 in runs beside four CPU-bound processes on two vCPUs), never one
+    // per request.
+    let started = metric_counter(addr, "serve.http.handlers_started");
+    assert!(
+        started <= 20,
+        "{started} handlers for 200 sequential requests"
+    );
+    assert_eq!(metric_counter(addr, "serve.http.rejected"), 0);
+    stop(addr, handle);
+}
+
+/// A `model` request of `cells` cells: the service answers it inline,
+/// about 630 response bytes per cell.
+fn model_request(cells: usize) -> String {
+    let cells: Vec<String> = (0..cells)
+        .map(|i| format!(r#"{{"workload":"legacy-00","depth":{}}}"#, 2 + i % 28))
+        .collect();
+    let body = format!(
+        r#"{{"schema_version":1,"backend":"model","cells":[{}]}}"#,
+        cells.join(",")
+    );
+    format!(
+        "POST /v1/evaluate HTTP/1.1\r\nHost: loopback\r\nContent-Length: {}\r\n\r\n{body}",
+        body.len()
+    )
+}
+
+#[test]
+fn clients_that_never_read_block_no_one() {
+    let _threads = shared();
+    let (addr, handle) = start(quick());
+    // Two clients ask for about 9 MB each and never read it: more than
+    // loopback's socket buffers hold, so each handler blocks in its write.
+    let raw = model_request(14_000);
+    let stalled: Vec<TcpStream> = (0..2)
+        .map(|_| {
+            let mut client = TcpStream::connect(addr).expect("connect");
+            client.write_all(raw.as_bytes()).expect("send");
+            // The first bytes have arrived: the handler is writing.
+            client.peek(&mut [0u8; 1]).expect("response starts");
+            client
+        })
+        .collect();
+    // A handler blocked in its write still counts as serving, so the
+    // claims of the two stalled connections kept a thread accepting.
+    let mut probe = TcpStream::connect(addr).expect("connect");
+    probe
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("timeout");
+    probe
+        .write_all(b"GET /healthz HTTP/1.1\r\nHost: loopback\r\n\r\n")
+        .expect("send");
+    let mut response = String::new();
+    probe
+        .read_to_string(&mut response)
+        .expect("a free handler answers while two are blocked");
+    assert_eq!(split_response(&response).0, 200, "{response}");
+    let (status, _, _) = request(addr, "POST", "/v1/shutdown", "");
+    assert_eq!(status, 200, "shutdown acknowledged");
+    // The blocked writes end when their clients hang up; then the pool
+    // drains.
+    drop(stalled);
+    let stats = handle.join().expect("server thread exits");
+    assert!(stats.starts_with("serve: "), "stats line: {stats}");
+}
+
+#[test]
+fn idle_clients_below_the_cap_block_no_one() {
+    let _threads = shared();
+    let (addr, handle) = start(quick());
+    let idle: Vec<TcpStream> = (0..8)
+        .map(|_| TcpStream::connect(addr).expect("connect"))
+        .collect();
+    // One thread is always accepting, so the idle clients delay no one.
+    assert_eq!(request(addr, "GET", "/healthz", "").0, 200);
+    let started = metric_counter(addr, "serve.http.handlers_started");
+    assert!(started <= 9, "{started} handlers for 8 idle clients");
+    for mut client in idle {
+        client.shutdown(Shutdown::Write).expect("hang up");
+        let mut response = String::new();
+        client.read_to_string(&mut response).expect("read");
+        assert_eq!(split_response(&response).0, 400, "{response}");
+    }
+    let stats = stop(addr, handle);
+    assert!(stats.starts_with("serve: "), "stats line: {stats}");
 }
 
 /// Threads of this process.
@@ -345,7 +470,7 @@ fn idle_connections_beyond_the_cap_get_503() {
     let idle: Vec<TcpStream> = (0..MAX_HANDLERS)
         .map(|_| TcpStream::connect(addr).expect("connect"))
         .collect();
-    // …so the accept loop answers the next ones itself, unread.
+    // …so the accepting handler answers the next ones itself, unread.
     let extra = 4;
     for _ in 0..extra {
         let mut client = TcpStream::connect(addr).expect("connect");
@@ -372,7 +497,7 @@ fn idle_connections_beyond_the_cap_get_503() {
         );
     }
     // The idle clients hang up. Each handler answers its client's EOF and
-    // counts itself idle before the client reads to the end.
+    // frees its slot before it closes the connection.
     for mut client in idle {
         client.shutdown(Shutdown::Write).expect("hang up");
         let mut rest = Vec::new();
