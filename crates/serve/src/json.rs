@@ -105,6 +105,7 @@ impl std::error::Error for ParseError {}
 /// Returns a [`ParseError`] locating the first offending byte.
 pub fn parse(input: &str) -> Result<Json, ParseError> {
     let mut p = Parser {
+        input,
         bytes: input.as_bytes(),
         pos: 0,
         depth: 0,
@@ -124,6 +125,7 @@ pub fn parse(input: &str) -> Result<Json, ParseError> {
 const MAX_DEPTH: usize = 32;
 
 struct Parser<'a> {
+    input: &'a str,
     bytes: &'a [u8],
     pos: usize,
     depth: usize,
@@ -282,15 +284,14 @@ impl Parser<'_> {
                     }
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so byte
-                    // boundaries are valid).
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest)
-                        .map_err(|_| self.err("invalid UTF-8 in string"))?;
-                    let ch = s
-                        .chars()
-                        .next()
-                        .ok_or_else(|| self.err("empty string tail"))?;
+                    // Decode the one scalar at `pos` from its own bytes:
+                    // the input is a `&str` and `pos` sits on a character
+                    // boundary, so this reads at most four bytes.
+                    let ch = self
+                        .input
+                        .get(self.pos..)
+                        .and_then(|rest| rest.chars().next())
+                        .ok_or_else(|| self.err("invalid UTF-8 in string"))?;
                     if ch.is_control() {
                         return Err(self.err("unescaped control character"));
                     }
@@ -372,6 +373,53 @@ mod tests {
             "1e999",
         ] {
             assert!(parse(bad).is_err(), "{bad:?} must not parse");
+        }
+    }
+
+    #[test]
+    fn decodes_multi_byte_characters() {
+        for text in [
+            "spécint-00",
+            "ß",
+            "日本語",
+            "🦀 pipes",
+            "a\u{7FF}\u{800}\u{FFFF}\u{10000}z",
+        ] {
+            let doc = parse(&format!("{{\"w\": \"{text}\"}}")).unwrap();
+            assert_eq!(doc.get("w").and_then(Json::as_str), Some(text));
+        }
+    }
+
+    #[test]
+    fn decodes_escapes_next_to_multi_byte_characters() {
+        let doc = parse(r#"["é\n", "\"ü\"", "\u00e9é", "日\t本\\", "🦀\u0041\/"]"#).unwrap();
+        let got: Vec<&str> = doc
+            .as_array()
+            .unwrap()
+            .iter()
+            .map(|v| v.as_str().unwrap())
+            .collect();
+        assert_eq!(got, ["é\n", "\"ü\"", "éé", "日\t本\\", "🦀A/"]);
+    }
+
+    #[test]
+    fn rejects_unescaped_control_characters() {
+        // The offset is the control character's byte, after any
+        // multi-byte characters before it.
+        for (body, offset) in [
+            ("\"a\u{1}b\"", 2),
+            ("\"é\nx\"", 3),
+            ("[\"日\", \"\u{1F}\"]", 9),
+        ] {
+            let err = parse(body).unwrap_err();
+            assert_eq!(
+                err,
+                ParseError {
+                    offset,
+                    message: "unescaped control character".into(),
+                },
+                "{body:?}"
+            );
         }
     }
 

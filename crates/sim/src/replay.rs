@@ -27,10 +27,24 @@
 //! and its ports grant without branches, so consecutive lanes'
 //! independent steps overlap in the CPU.
 //!
+//! A note's shape is the same in every lane, so it is tested once per
+//! note, not once per lane. `Lane::step` is generic over the note's
+//! class, serial flag and whether it opens a counted fetch; `advance`
+//! matches each note on those three and runs every lane through the
+//! matching copy, one of 28. In each copy the class-derived tests (RX
+//! path, FP unit, store, load, `AluRx`, the class's extra E-unit cycles),
+//! the serial close-outs and the fetch penalty's guard are constants;
+//! every copy performs the engine's operations in the engine's order. The
+//! fields the shape does not fix — the memory-operand flag, the register
+//! slots, the fetch and data classes and the branch outcome — stay runtime
+//! reads, so an annotation of any shape replays exactly, not only the
+//! shapes the generator emits.
+//!
 //! Exactness is the contract: every port acquisition and every hazard
 //! record happens in the precise order of the stage engine, and the
 //! differential suite (`sim/tests/replay_equivalence.rs`) pins the
-//! resulting [`SimReport`]s bit-identical to [`crate::Engine`]'s.
+//! resulting [`SimReport`]s bit-identical to [`crate::Engine`]'s, on
+//! generated streams and on a hand-built one that visits every note shape.
 
 use crate::annotate::{AnnotatedTrace, FLAG_MEM, FLAG_SERIAL, NO_REG};
 use crate::config::{ConfigError, IssuePolicy, SimConfig, StagePlan, Unit};
@@ -47,10 +61,8 @@ use std::ops::Range;
 #[derive(Debug, Clone, Copy)]
 struct Note {
     class: OpClass,
-    is_mem: bool,
-    is_fp: bool,
-    has_mem: bool,
     serial: bool,
+    has_mem: bool,
     dst: u8,
     src: [u8; 2],
     fetch: u8,
@@ -61,14 +73,11 @@ struct Note {
 impl AnnotatedTrace {
     #[inline]
     fn note(&self, i: usize) -> Note {
-        let class = OpClass::ALL[self.classes[i] as usize];
         let flags = self.flags[i];
         Note {
-            class,
-            is_mem: class.is_memory(),
-            is_fp: class.is_fp(),
-            has_mem: flags & FLAG_MEM != 0,
+            class: OpClass::ALL[self.classes[i] as usize],
             serial: flags & FLAG_SERIAL != 0,
+            has_mem: flags & FLAG_MEM != 0,
             dst: self.dst[i],
             src: self.src[i],
             fetch: self.fetch[i],
@@ -278,16 +287,22 @@ impl Lane {
     }
 
     /// Advances this lane through one annotated instruction, in exactly
-    /// the stage engine's operation order. Inlined into the sweep loop,
-    /// where it runs once per lane per instruction.
+    /// the stage engine's operation order. The note's shape is the step's
+    /// type: `CLASS` is its [`OpClass`] discriminant, `SERIAL` its serial
+    /// flag and `FETCH` whether it opens a counted fetch, so every test
+    /// derived from them folds to a constant in each copy. Inlined into the
+    /// sweep loop, where it runs once per lane per instruction.
     #[inline(always)]
-    fn step(&mut self, n: &Note) {
+    fn step<const CLASS: u8, const SERIAL: bool, const FETCH: bool>(&mut self, n: &Note) {
         let tables = &self.tables;
+        let class = OpClass::ALL[CLASS as usize];
+        let is_mem = class.is_memory();
+        let is_fp = class.is_fp();
 
         // ---- Front end: fetch + decode --------------------------------
         let queue_floor = self.ring.floor();
         let mut decode_req = self.last_decode.max(self.redirect_at).max(queue_floor);
-        if n.fetch != 0 {
+        if FETCH {
             decode_req += tables.miss_penalty[(n.fetch - 1) as usize];
         }
         let decode_cycle = self.decode_port.acquire(decode_req);
@@ -312,41 +327,43 @@ impl Lane {
         }
 
         // ---- RX address/cache segment ---------------------------------
+        // Gated on the operand, not the class: an annotation may carry a
+        // memory operand on any class, or none on a memory class.
         let mut data_ready = decode_done;
         let mut pipe_ready = decode_done;
         let mut miss_extra = 0u64;
         if n.has_mem {
             let agen_done = decode_done.max(src_ready) + tables.agen;
-            if n.class == OpClass::Store {
+            if class == OpClass::Store {
                 data_ready = agen_done;
                 pipe_ready = agen_done;
             } else {
                 let access_at = self.cache_port.acquire(agen_done);
                 miss_extra = tables.miss_penalty[(n.data - 1) as usize];
                 data_ready = access_at + tables.cache + miss_extra;
-                if n.class == OpClass::Load && self.stall_on_use {
+                if class == OpClass::Load && self.stall_on_use {
                     pipe_ready = access_at + tables.cache;
-                } else if n.class == OpClass::Load {
+                } else if class == OpClass::Load {
                     pipe_ready = data_ready;
                 }
             }
         }
-        if n.class == OpClass::AluRx {
+        if class == OpClass::AluRx {
             pipe_ready = data_ready;
         }
 
         // ---- Issue to the E-unit (in order, width-limited) ------------
-        let queue_ready = if n.is_mem { pipe_ready } else { decode_done };
-        let fp_ready = if n.is_fp { self.fp_busy_until } else { 0 };
+        let queue_ready = if is_mem { pipe_ready } else { decode_done };
+        let fp_ready = if is_fp { self.fp_busy_until } else { 0 };
         let order_floor = if self.in_order { self.last_issue } else { 0 };
         let mut base = queue_ready.max(src_ready).max(fp_ready).max(order_floor);
-        if n.serial {
+        if SERIAL {
             base = base.max(self.last_issue + 1);
             self.issue_port.close_cycle();
         }
         let prev_issue = self.last_issue;
         let at = self.issue_port.acquire(base);
-        if n.serial {
+        if SERIAL {
             self.issue_port.close_cycle();
         }
         self.last_issue = at;
@@ -356,7 +373,7 @@ impl Lane {
 
         // ---- Hazard attribution ---------------------------------------
         let transit = decode_done
-            + if n.is_mem {
+            + if is_mem {
                 tables.agen + tables.cache
             } else {
                 0
@@ -370,7 +387,7 @@ impl Lane {
         let stall = own.saturating_sub(floor);
         if stall > 0 {
             let gamma_stall = stall.min(tables.hazard_cap);
-            let load_use_blocked = n.class == OpClass::AluRx && miss_extra > 0;
+            let load_use_blocked = class == OpClass::AluRx && miss_extra > 0;
             let kind = if load_use_blocked || src_writer == WriterKind::Miss {
                 Some(HazardKind::Memory)
             } else if src_ready > floor {
@@ -390,8 +407,8 @@ impl Lane {
         }
 
         // ---- Execute + writeback --------------------------------------
-        let exec_done = at + tables.execute + tables.exec_extra[n.class as usize];
-        if n.is_fp {
+        let exec_done = at + tables.execute + tables.exec_extra[CLASS as usize];
+        if is_fp {
             self.fp_busy_until = exec_done;
         }
         if n.dst != NO_REG {
@@ -401,7 +418,7 @@ impl Lane {
             } else {
                 WriterKind::Normal
             };
-            let (ready_at, writer) = match n.class {
+            let (ready_at, writer) = match class {
                 OpClass::Load => (data_ready, miss_writer),
                 OpClass::Fp | OpClass::FpLong => (exec_done, WriterKind::FpUnit),
                 _ => (alu_ready, miss_writer),
@@ -545,13 +562,40 @@ pub fn replay_sweep(
 }
 
 /// Advances every lane through the notes in `range`, decoding each note
-/// once and stepping the lanes through it in turn.
+/// once and picking, once for all lanes, the [`Lane::step`] copy compiled
+/// for its shape.
 fn advance(lanes: &mut [Lane], notes: &AnnotatedTrace, range: Range<usize>) {
+    macro_rules! by_shape {
+        ($n:ident: $($class:ident)*) => {
+            match ($n.class, $n.serial, $n.fetch != 0) {
+                $(
+                    (OpClass::$class, false, false) => {
+                        step_all::<{ OpClass::$class as u8 }, false, false>(lanes, &$n)
+                    }
+                    (OpClass::$class, false, true) => {
+                        step_all::<{ OpClass::$class as u8 }, false, true>(lanes, &$n)
+                    }
+                    (OpClass::$class, true, false) => {
+                        step_all::<{ OpClass::$class as u8 }, true, false>(lanes, &$n)
+                    }
+                    (OpClass::$class, true, true) => {
+                        step_all::<{ OpClass::$class as u8 }, true, true>(lanes, &$n)
+                    }
+                )*
+            }
+        };
+    }
     for i in range {
         let n = notes.note(i);
-        for lane in lanes.iter_mut() {
-            lane.step(&n);
-        }
+        by_shape!(n: AluRr AluRx Load Store Branch Fp FpLong);
+    }
+}
+
+/// Steps every lane through one note of shape `(CLASS, SERIAL, FETCH)`.
+#[inline(always)]
+fn step_all<const CLASS: u8, const SERIAL: bool, const FETCH: bool>(lanes: &mut [Lane], n: &Note) {
+    for lane in lanes.iter_mut() {
+        lane.step::<CLASS, SERIAL, FETCH>(n);
     }
 }
 

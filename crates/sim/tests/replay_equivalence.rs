@@ -14,7 +14,7 @@ use pipedepth_sim::config::{CacheConfig, Features, IssuePolicy};
 use pipedepth_sim::replay::{replay, replay_sweep};
 use pipedepth_sim::{Engine, SimConfig, SimReport};
 use pipedepth_telemetry::Telemetry;
-use pipedepth_trace::isa::Instruction;
+use pipedepth_trace::isa::{BranchInfo, Instruction, MemRef, OpClass, Reg};
 use pipedepth_trace::{TraceGenerator, TraceRequest, WorkloadModel};
 
 const WARMUP: u64 = 3_000;
@@ -161,6 +161,11 @@ impl XorShift {
         x
     }
 
+    /// True with probability about `1/n`.
+    fn one_in(&mut self, n: u64) -> bool {
+        self.next().is_multiple_of(n)
+    }
+
     /// Uniform-ish f64 in [lo, hi).
     fn in_range(&mut self, lo: f64, hi: f64) -> f64 {
         lo + (self.next() >> 11) as f64 / (1u64 << 53) as f64 * (hi - lo)
@@ -251,6 +256,162 @@ fn randomized_workloads_replay_exactly() {
                  warmup {warmup}, measure {measure}) diverged in the batch"
             );
         }
+    }
+}
+
+/// One note shape: what `replay`'s per-note dispatch keys on (class,
+/// serial flag, whether the instruction opens a new code line) plus
+/// whether it carries a memory operand, which the step tests per lane.
+type Shape = (OpClass, bool, bool, bool);
+
+/// A hand-built stream that visits every [`Shape`] many times, in a
+/// scrambled order, with random operands: registers from both files (or
+/// none), data addresses that hit or miss, taken and not-taken branches
+/// with or without a branch record, and new code lines that hit or miss.
+/// Most shapes here are ones the generator never emits (an `AluRr` with a
+/// memory operand, a `Load` without one, a store with a destination, a
+/// serial FP op).
+fn every_shape_stream(len: usize, line_bytes: u64) -> Vec<Instruction> {
+    let mut rng = XorShift(0x5EED_CA5E);
+    let mut shapes = Vec::new();
+    for class in OpClass::ALL {
+        for serial in [false, true] {
+            for fresh in [false, true] {
+                for mem in [false, true] {
+                    shapes.push((class, serial, fresh, mem));
+                }
+            }
+        }
+    }
+    let reg = |rng: &mut XorShift| match rng.next() % 3 {
+        0 => None,
+        1 => Some(Reg::gpr(rng.next() as u8)),
+        _ => Some(Reg::fpr(rng.next() as u8)),
+    };
+    let mut pc = 0x1_0000u64;
+    let mut data = 0x4000_0000u64;
+    let mut stream = Vec::with_capacity(len);
+    for _ in 0..len {
+        let (class, serial, fresh, mem) = shapes[(rng.next() % shapes.len() as u64) as usize];
+        if fresh {
+            // A new line: half the time one of 8 hot lines, else anywhere
+            // in a 4 MiB code region, so new lines both hit and miss.
+            let lines = if rng.one_in(2) { 8 } else { 1 << 16 };
+            let next = 0x1_0000 / line_bytes + rng.next() % lines;
+            pc = if next == pc / line_bytes {
+                next + 1
+            } else {
+                next
+            } * line_bytes;
+        } else if (pc + 4) / line_bytes == pc / line_bytes {
+            pc += 4;
+        }
+        let mut instr = Instruction::new(pc, class);
+        instr.dst = reg(&mut rng);
+        instr.src = [reg(&mut rng), reg(&mut rng)];
+        if mem {
+            data = if rng.one_in(3) {
+                0x4000_0000 + ((rng.next() % (8 << 20)) & !7)
+            } else {
+                data + 8
+            };
+            instr = instr.with_mem(MemRef {
+                addr: data,
+                size: 8,
+            });
+        }
+        if class == OpClass::Branch && !rng.one_in(4) {
+            instr = instr.with_branch(BranchInfo {
+                taken: rng.one_in(2),
+                target: pc + 64,
+            });
+        }
+        instr.serial = serial;
+        stream.push(instr);
+    }
+    stream
+}
+
+#[test]
+fn every_note_shape_replays_exactly() {
+    const LEN: usize = 12_000;
+    const WARM: u64 = 1_000;
+    let base = SimConfig::paper(3);
+    let line_bytes = base.cache.line_bytes;
+    let trace = every_shape_stream(LEN, line_bytes);
+
+    // Every shape occurs in the measured window; one engine stepped by
+    // hand confirms that new lines miss and branches on them mispredict.
+    let mut seen: Vec<Shape> = Vec::new();
+    let mut engine = Engine::new(base);
+    let (mut fetch_misses, mut fresh_mispredicts) = (0, 0);
+    let mut prev_line = u64::MAX;
+    for (i, instr) in trace.iter().enumerate() {
+        let fresh = instr.pc / line_bytes != prev_line;
+        prev_line = instr.pc / line_bytes;
+        let (stalls, mispredicts) = (
+            engine.front_end().fetch_stall_cycles(),
+            engine.front_end().mispredicts(),
+        );
+        engine.step(instr);
+        if i as u64 >= WARM {
+            let shape = (instr.class, instr.serial, fresh, instr.mem.is_some());
+            if !seen.contains(&shape) {
+                seen.push(shape);
+            }
+            fetch_misses += u64::from(engine.front_end().fetch_stall_cycles() > stalls);
+            fresh_mispredicts += u64::from(fresh && engine.front_end().mispredicts() > mispredicts);
+        }
+    }
+    assert_eq!(
+        seen.len(),
+        OpClass::ALL.len() * 8,
+        "shapes covered: {seen:?}"
+    );
+    assert!(fetch_misses > 100, "{fetch_misses} new lines missed");
+    assert!(
+        fresh_mispredicts > 10,
+        "{fresh_mispredicts} mispredicts on new lines"
+    );
+
+    // One batch whose lanes differ in depth, width, forwarding,
+    // stall-on-use and issue policy.
+    let mut narrow = SimConfig::paper(9);
+    narrow.width = 1;
+    narrow.cache_ports = 1;
+    let mut no_forwarding = SimConfig::paper(14);
+    no_forwarding.features.forwarding = false;
+    let mut blocking = SimConfig::paper(20);
+    blocking.features.stall_on_use = false;
+    let mut out_of_order = SimConfig::paper(25);
+    out_of_order.features.issue = IssuePolicy::OutOfOrder;
+    let mut wide_ooo = SimConfig::paper(6);
+    wide_ooo.width = 6;
+    wide_ooo.features = Features {
+        forwarding: false,
+        stall_on_use: false,
+        scaled_queues: false,
+        issue: IssuePolicy::OutOfOrder,
+    };
+    let lanes = [
+        base,
+        narrow,
+        no_forwarding,
+        blocking,
+        out_of_order,
+        wide_ooo,
+    ];
+    let notes = annotate(&trace, base.cache, base.predictor).expect("valid config");
+    let measure = LEN as u64 - WARM;
+    let batched =
+        replay_sweep(&notes, &lanes, WARM, measure, &Telemetry::disabled()).expect("valid");
+    for (config, report) in lanes.iter().zip(&batched) {
+        let reference = engine_reference(&trace, *config, WARM, measure);
+        assert_eq!(
+            &reference, report,
+            "hand-built shapes diverged (depth {}, width {})",
+            config.depth, config.width
+        );
     }
 }
 

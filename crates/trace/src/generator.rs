@@ -42,6 +42,43 @@ impl TraceRequest {
     }
 }
 
+/// Depth of the recent-writer window used to materialise dependency
+/// distances.
+const WINDOW: usize = 64;
+
+/// The most recent register writers of one file, in a fixed ring: a push
+/// overwrites the oldest of the last [`WINDOW`] writers.
+#[derive(Debug, Clone)]
+struct Writers {
+    regs: [Reg; WINDOW],
+    /// Writers pushed so far; the ring holds the last `WINDOW` of them.
+    pushed: usize,
+}
+
+impl Writers {
+    fn new() -> Self {
+        Writers {
+            regs: [Reg::Gpr(0); WINDOW],
+            pushed: 0,
+        }
+    }
+
+    /// Writers held, at most [`WINDOW`].
+    fn len(&self) -> usize {
+        self.pushed.min(WINDOW)
+    }
+
+    fn push(&mut self, reg: Reg) {
+        self.regs[self.pushed % WINDOW] = reg;
+        self.pushed += 1;
+    }
+
+    /// The `d`-th most recent writer, for `1 <= d <= len()`.
+    fn recent(&self, d: usize) -> Reg {
+        self.regs[(self.pushed - d) % WINDOW]
+    }
+}
+
 /// A deterministic, endless instruction stream for one workload.
 ///
 /// # Examples
@@ -60,16 +97,23 @@ pub struct TraceGenerator {
     model: WorkloadModel,
     rng: StdRng,
     pc: u64,
-    /// Ring buffer of the most recent GPR/FPR writers, newest first, used to
-    /// realise the dependency-distance distribution.
-    recent_gpr: Vec<Reg>,
-    recent_fpr: Vec<Reg>,
+    /// The most recent GPR/FPR writers, used to realise the
+    /// dependency-distance distribution.
+    recent_gpr: Writers,
+    recent_fpr: Writers,
     next_gpr: u8,
     next_fpr: u8,
     /// Current sequential data pointer.
     data_ptr: u64,
     /// Per-site branch biases, indexed by a hash of the site id.
     site_bias: Vec<f64>,
+    /// `ln(1 - 1/mean_dep_distance)`: the denominator of every geometric
+    /// dependency-distance draw.
+    ln_dep_miss: f64,
+    /// Code-block entry points a taken branch may target, and the bytes
+    /// between them.
+    blocks: u64,
+    block_bytes: u64,
     emitted: u64,
     /// Telemetry counter for `trace.instructions_generated` (disconnected
     /// unless built with [`TraceGenerator::with_telemetry`]).
@@ -81,10 +125,6 @@ pub struct TraceGenerator {
 }
 
 impl TraceGenerator {
-    /// Depth of the recent-writer window used to materialise dependency
-    /// distances.
-    const WINDOW: usize = 64;
-
     /// Creates a generator for `model`, seeded deterministically.
     pub fn new(model: WorkloadModel, seed: u64) -> Self {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -103,16 +143,30 @@ impl TraceGenerator {
                 }
             })
             .collect();
+        // Taken branches target one of a bounded set of code-block entry
+        // points, so the program forms loops: branch PCs recur, letting a
+        // history-based predictor learn them — the property real code has
+        // and a uniformly random PC stream lacks. Sequential runs from a
+        // block entry average ~1/(branch_frac·taken_rate) instructions, so
+        // sizing the block count at sites/12 yields roughly `static_sites`
+        // recurring dynamic branch sites.
+        let blocks = (model.branches.static_sites as u64 / 12).clamp(2, 4096);
+        let block_bytes =
+            (model.branches.code_footprint / blocks).max(INSTR_BYTES * 4) & !(INSTR_BYTES - 1);
         TraceGenerator {
-            model,
             rng,
             pc: 0x1_0000,
-            recent_gpr: Vec::with_capacity(Self::WINDOW),
-            recent_fpr: Vec::with_capacity(Self::WINDOW),
+            recent_gpr: Writers::new(),
+            recent_fpr: Writers::new(),
             next_gpr: 0,
             next_fpr: 0,
             data_ptr: 0x4000_0000,
             site_bias,
+            // Geometric with success probability 1/mean, support {1, 2, …}.
+            ln_dep_miss: (1.0 - 1.0 / model.mean_dep_distance).ln(),
+            blocks,
+            block_bytes,
+            model,
             emitted: 0,
             generated: Counter::default(),
             flushed: 0,
@@ -168,12 +222,9 @@ impl TraceGenerator {
     /// Geometric dependency distance with the model's mean, clamped to the
     /// recent-writer window.
     fn dep_distance(&mut self) -> usize {
-        let mean = self.model.mean_dep_distance;
-        // Geometric with success probability 1/mean, support {1, 2, …}.
-        let p = 1.0 / mean;
         let u: f64 = self.rng.gen_range(f64::EPSILON..1.0);
-        let d = (u.ln() / (1.0 - p).ln()).ceil().max(1.0);
-        (d as usize).min(Self::WINDOW)
+        let d = (u.ln() / self.ln_dep_miss).ceil().max(1.0);
+        (d as usize).min(WINDOW)
     }
 
     fn pick_src(&mut self, fp: bool) -> Option<Reg> {
@@ -186,11 +237,11 @@ impl TraceGenerator {
         } else {
             &self.recent_gpr
         };
-        if window.is_empty() {
+        let held = window.len();
+        if held == 0 {
             return None;
         }
-        let d = d.min(window.len());
-        Some(window[d - 1])
+        Some(window.recent(d.min(held)))
     }
 
     fn alloc_dst(&mut self, fp: bool) -> Reg {
@@ -208,8 +259,7 @@ impl TraceGenerator {
         } else {
             &mut self.recent_gpr
         };
-        window.insert(0, reg);
-        window.truncate(Self::WINDOW);
+        window.push(reg);
         reg
     }
 
@@ -246,18 +296,8 @@ impl TraceGenerator {
     fn next_branch(&mut self) -> BranchInfo {
         let site = (self.pc >> 2) as usize % self.site_bias.len();
         let taken = self.rng.gen_bool(self.site_bias[site]);
-        // Taken branches target one of a bounded set of code-block entry
-        // points, so the program forms loops: branch PCs recur, letting a
-        // history-based predictor learn them — the property real code has
-        // and a uniformly random PC stream lacks. Sequential runs from a
-        // block entry average ~1/(branch_frac·taken_rate) instructions, so
-        // sizing the block count at sites/12 yields roughly `static_sites`
-        // recurring dynamic branch sites.
-        let blocks = (self.model.branches.static_sites as u64 / 12).clamp(2, 4096);
-        let block_bytes =
-            (self.model.branches.code_footprint / blocks).max(INSTR_BYTES * 4) & !(INSTR_BYTES - 1);
         let target = if taken {
-            0x1_0000 + self.rng.gen_range(0..blocks) * block_bytes
+            0x1_0000 + self.rng.gen_range(0..self.blocks) * self.block_bytes
         } else {
             self.pc + INSTR_BYTES
         };
@@ -589,5 +629,41 @@ mod tests {
             TraceGenerator::with_telemetry(WorkloadModel::modern_like(), 5, &telemetry);
         let mut plain = TraceGenerator::new(WorkloadModel::modern_like(), 5);
         assert_eq!(counted.take_vec(200), plain.take_vec(200));
+    }
+
+    /// FNV digest of every field of the first `n` instructions of a stream.
+    fn digest(model: WorkloadModel, seed: u64, n: usize) -> u64 {
+        let reg = |r: Option<Reg>| match r {
+            None => 0,
+            Some(Reg::Gpr(i)) => 1 + u32::from(i),
+            Some(Reg::Fpr(i)) => 1 + u32::from(Reg::FILE_SIZE) + u32::from(i),
+        };
+        let mut h = Fnv64::new();
+        for i in take(model, seed, n) {
+            h.write_u64(i.pc)
+                .write_u32(i.class as u32)
+                .write_u32(reg(i.dst))
+                .write_u32(reg(i.src[0]))
+                .write_u32(reg(i.src[1]))
+                .write_u64(i.mem.map_or(u64::MAX, |m| m.addr))
+                .write_u32(i.mem.map_or(0, |m| u32::from(m.size)))
+                .write_u64(i.branch.map_or(u64::MAX, |b| b.target))
+                .write_bool(i.is_taken_branch())
+                .write_bool(i.serial);
+        }
+        h.finish()
+    }
+
+    #[test]
+    fn stream_is_pinned() {
+        use crate::model::PhaseModel;
+        // Every field of every instruction, digested: a change to the
+        // generator's arithmetic or draw order moves a digest, and with it
+        // every figure and every stored report.
+        let plain = WorkloadModel::modern_like();
+        let phased = WorkloadModel::spec_fp_like()
+            .with_phases(PhaseModel::new(1_500, MemoryModel::cache_hostile()));
+        assert_eq!(digest(plain, 7, 10_000), 0xb329_8413_1fea_abb0);
+        assert_eq!(digest(phased, 8, 10_000), 0x9e84_d1b1_8cca_79d7);
     }
 }
