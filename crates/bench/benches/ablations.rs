@@ -4,6 +4,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use pipedepth_bench::bench_config;
 use pipedepth_experiments::ablation;
+use pipedepth_experiments::runner::Runner;
 use pipedepth_workloads::{suite_class, WorkloadClass};
 use std::hint::black_box;
 
@@ -13,9 +14,10 @@ fn bench_ablation_table(c: &mut Criterion) {
         .into_iter()
         .next()
         .expect("modern class populated");
-    println!("{}", ablation::run(&w, &cfg));
+    println!("{}", ablation::run(&Runner::serial(), &w, &cfg));
+    // Each iteration sweeps cold, on a runner of its own.
     c.bench_function("ablation_full_table", |b| {
-        b.iter(|| black_box(ablation::run(&w, &cfg)))
+        b.iter(|| black_box(ablation::run(&Runner::serial(), &w, &cfg)))
     });
 }
 

@@ -6,16 +6,23 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use pipedepth_bench::bench_config;
 use pipedepth_experiments::figures::{fig1, fig3, fig4, fig5, fig6, fig7, fig8, fig9, headline};
-use pipedepth_experiments::sweep::{sweep_all, sweep_workload, RunConfig, WorkloadCurve};
+use pipedepth_experiments::runner::Runner;
+use pipedepth_experiments::sweep::{RunConfig, WorkloadCurve};
 use pipedepth_workloads::{suite, suite_class, WorkloadClass};
 use std::hint::black_box;
 use std::sync::OnceLock;
+
+/// The runner the untimed set-up sweeps share.
+fn runner() -> &'static Runner {
+    static RUNNER: OnceLock<Runner> = OnceLock::new();
+    RUNNER.get_or_init(Runner::default)
+}
 
 /// Full-suite sweep shared by the distribution figures (computed once,
 /// outside the timed loops).
 fn shared_curves() -> &'static Vec<WorkloadCurve> {
     static CURVES: OnceLock<Vec<WorkloadCurve>> = OnceLock::new();
-    CURVES.get_or_init(|| sweep_all(&suite(), &bench_config()))
+    CURVES.get_or_init(|| runner().sweep_all(&suite(), &bench_config()))
 }
 
 fn spec_extraction() -> pipedepth_experiments::ExtractedParams {
@@ -40,15 +47,25 @@ fn bench_fig3(c: &mut Criterion) {
 
 fn bench_fig4(c: &mut Criterion) {
     let cfg = bench_config();
-    println!("{}", fig4::run(&cfg));
-    // Time a single panel's regeneration (sweep + theory fit).
+    let panels = fig4::PANEL_CLASSES
+        .iter()
+        .map(|&class| {
+            let curve = shared_curves()
+                .iter()
+                .find(|c| c.workload.class == class)
+                .expect("every class is in the suite");
+            fig4::panel_from_curve(curve, &cfg)
+        })
+        .collect();
+    println!("{}", fig4::Fig4 { panels });
+    // Time a single panel's regeneration (a cold sweep + theory fit).
     let w = suite_class(WorkloadClass::Modern)
         .into_iter()
         .next()
         .unwrap();
     c.bench_function("fig4_panel_modern", |b| {
         b.iter(|| {
-            let curve = sweep_workload(&w, &cfg);
+            let curve = Runner::serial().sweep_workload(&w, &cfg);
             black_box(fig4::panel_from_curve(&curve, &cfg))
         })
     });
@@ -60,7 +77,7 @@ fn bench_fig5(c: &mut Criterion) {
         .into_iter()
         .next()
         .unwrap();
-    let curve = sweep_workload(&w, &cfg);
+    let curve = runner().sweep_workload(&w, &cfg);
     println!("{}", fig5::from_curve(&curve));
     c.bench_function("fig5_metric_comparison", |b| {
         b.iter(|| black_box(fig5::from_curve(&curve)))
@@ -120,7 +137,7 @@ fn bench_full_suite_sweep(c: &mut Criterion) {
     let mut group = c.benchmark_group("sweep");
     group.sample_size(10);
     group.bench_function("suite_55x3_depths", |b| {
-        b.iter(|| black_box(sweep_all(&workloads, &cfg)))
+        b.iter(|| black_box(Runner::default().sweep_all(&workloads, &cfg)))
     });
     group.finish();
 }

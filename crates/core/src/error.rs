@@ -1,7 +1,7 @@
 //! The workspace-level error surface.
 //!
 //! Until this module existed, every layer grew its own failure channel:
-//! the simulator's `ConfigError`, panics inside `Evaluator::evaluate`,
+//! the simulator's `ConfigError`, panics inside cell evaluation,
 //! ad-hoc `String` errors in drivers. Long-lived consumers — the
 //! `pipedepth-serve` evaluation service foremost — need one typed surface
 //! they can match on and map to a wire protocol, so this module defines
@@ -9,7 +9,8 @@
 //!
 //! * [`EvalError`] — why a single cell evaluation failed (invalid cell,
 //!   missed deadline, backend failure). This is the error type of
-//!   [`Evaluator::evaluate`](crate::eval::Evaluator::evaluate).
+//!   [`AnalyticModel::evaluate`](crate::eval::AnalyticModel::evaluate)
+//!   and of the experiments crate's simulation backend.
 //! * [`Error`] — the crate-level wrapper: an evaluation failure or a
 //!   configuration rejection from any layer (e.g. the simulator's
 //!   `ConfigError`, carried as a boxed source so this crate stays free of
@@ -22,7 +23,8 @@ use std::fmt;
 
 /// Why one cell evaluation failed.
 ///
-/// Returned by [`Evaluator::evaluate`](crate::eval::Evaluator::evaluate);
+/// Returned by [`AnalyticModel::evaluate`](crate::eval::AnalyticModel::evaluate)
+/// and the simulation backend;
 /// long-running services map these onto their wire protocol (the serve
 /// crate renders `InvalidCell` as HTTP 400, `DeadlineExceeded` as 504 and
 /// `Backend` as 500).

@@ -14,11 +14,6 @@
 //! * [`EvalOutcome`] — the common result row: CPI, clock frequency,
 //!   per-instruction time, throughput, gated/ungated power and the six
 //!   `BIPS^m/W` metrics;
-//! * [`Evaluator`] — the backend trait, `fn evaluate(&self, &CellSpec) ->
-//!   Result<EvalOutcome, EvalError>`, plus a batched entry point backends
-//!   can override: `evaluate_batch` (N arbitrary cells, one dispatch —
-//!   the simulation backend's runner groups a batch's depth mates into
-//!   one annotate-once replay pass);
 //! * [`AnalyticModel`] — the closed-form backend, evaluating the paper's
 //!   extended theory (`τ_total = τ(p) + t_mem`) directly from the profile;
 //! * [`ShardedCache`] / [`TieredCache`] — the concurrent result cache:
@@ -26,9 +21,9 @@
 //!   `pipedepth-serve` service memoises the outcomes it derives from
 //!   them in another (see [`cache`](crate::eval::cache)).
 //!
-//! The simulation backend lives in the experiments crate (the simulator
-//! does not depend on this crate), implementing the same trait, so runners
-//! and sweeps can be written once against `dyn Evaluator`.
+//! The simulation backend, `SimBackend`, lives in the experiments crate
+//! (the simulator does not depend on this crate) and answers the same
+//! [`CellSpec`] with the same [`EvalOutcome`] row.
 //!
 //! Power scale: both backends report power in the model's own per-latch
 //! units (`P_d = 1`). Absolute watts are out of scope throughout the
@@ -252,40 +247,6 @@ impl EvalOutcome {
     }
 }
 
-/// A backend that can score `(workload, depth)` cells.
-///
-/// Implementations must be deterministic: the same [`CellSpec`] always
-/// yields the same [`EvalOutcome`]. They must also be usable behind
-/// `dyn Evaluator` from worker threads, hence the `Send + Sync` bound.
-///
-/// Failures are values, not panics: an unknown workload, an out-of-range
-/// depth or a backend fault comes back as an [`EvalError`], which serving
-/// layers map onto their wire protocol.
-pub trait Evaluator: Send + Sync {
-    /// A short stable backend name (e.g. `"model"`, `"sim"`), used in
-    /// logs and experiment records.
-    fn name(&self) -> &'static str;
-
-    /// Evaluates one cell.
-    ///
-    /// # Errors
-    ///
-    /// Returns an [`EvalError`] when the cell is invalid for this backend
-    /// or the backend fails to produce an outcome.
-    fn evaluate(&self, cell: &CellSpec) -> Result<EvalOutcome, EvalError>;
-
-    /// Evaluates a batch of cells, returning one result per cell in
-    /// order.
-    ///
-    /// The default implementation evaluates cell by cell; backends with a
-    /// per-dispatch cost (the simulation backend's worker-pool fan-out)
-    /// override it to answer the whole batch in **one** dispatch — the
-    /// hook the serving layer's request coalescing is built on.
-    fn evaluate_batch(&self, cells: &[CellSpec]) -> Vec<Result<EvalOutcome, EvalError>> {
-        cells.iter().map(|cell| self.evaluate(cell)).collect()
-    }
-}
-
 /// The closed-form backend: evaluates the paper's extended theory
 /// (`τ_total = τ(p) + t_mem`, Eq. 3/4 power with the profile's κ under
 /// gating) directly from a [`WorkloadProfile`], with no simulation.
@@ -310,14 +271,15 @@ impl AnalyticModel {
     pub fn with_tech(tech: TechParams) -> Self {
         AnalyticModel { tech }
     }
-}
 
-impl Evaluator for AnalyticModel {
-    fn name(&self) -> &'static str {
-        "model"
-    }
-
-    fn evaluate(&self, cell: &CellSpec) -> Result<EvalOutcome, EvalError> {
+    /// Evaluates one cell. Deterministic: the same [`CellSpec`] always
+    /// yields the same [`EvalOutcome`].
+    ///
+    /// # Errors
+    ///
+    /// [`EvalError::InvalidCell`] when [`CellSpec::validate`] rejects the
+    /// cell.
+    pub fn evaluate(&self, cell: &CellSpec) -> Result<EvalOutcome, EvalError> {
         cell.validate()?;
         let depth = f64::from(cell.depth);
         let workload = cell.profile.workload_params();
@@ -429,16 +391,6 @@ mod tests {
     }
 
     #[test]
-    fn evaluator_is_object_safe() {
-        let backend: Box<dyn Evaluator> = Box::new(AnalyticModel::paper());
-        assert_eq!(backend.name(), "model");
-        let out = backend
-            .evaluate(&CellSpec::new("t", profile(), 8))
-            .expect("valid cell");
-        assert!(out.throughput > 0.0);
-    }
-
-    #[test]
     fn invalid_cells_are_rejected_not_panicked() {
         let model = AnalyticModel::paper();
         let zero_depth = CellSpec::new("t", profile(), 0);
@@ -469,21 +421,6 @@ mod tests {
         at_cap.warmup = 1;
         at_cap.instructions = MAX_WINDOW - 1;
         assert!(at_cap.validate().is_ok());
-    }
-
-    #[test]
-    fn batch_default_matches_cell_by_cell() {
-        let model = AnalyticModel::paper();
-        let cells = [
-            CellSpec::new("a", profile(), 6),
-            CellSpec::new("b", profile(), 0),
-            CellSpec::new("c", profile(), 12),
-        ];
-        let batch = model.evaluate_batch(&cells);
-        assert_eq!(batch.len(), 3);
-        assert_eq!(batch[0], model.evaluate(&cells[0]));
-        assert!(batch[1].is_err());
-        assert_eq!(batch[2], model.evaluate(&cells[2]));
     }
 
     #[test]

@@ -86,11 +86,10 @@ pub use energy::{energy_delay_product, energy_per_instruction, minimize_energy_d
 /// The workspace-level error surface: configuration rejections and
 /// evaluation failures behind one `#[non_exhaustive]` enum.
 pub use error::{Error, EvalError};
-/// Backend-agnostic evaluation: the trait, its request/result rows, the
-/// shared result cache, and the closed-form backend.
+/// Backend-agnostic evaluation: the request/result rows, the shared
+/// result cache, and the closed-form backend.
 pub use eval::{
-    AnalyticModel, CacheStats, CellSpec, EvalOutcome, Evaluator, ShardedCache, TieredCache,
-    WorkloadProfile,
+    AnalyticModel, CacheStats, CellSpec, EvalOutcome, ShardedCache, TieredCache, WorkloadProfile,
 };
 /// The top-level model combining performance, power and the metric.
 pub use metric::PipelineModel;

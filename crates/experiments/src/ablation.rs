@@ -11,7 +11,7 @@
 
 use crate::figures::fig6::optimum_of;
 use crate::runner::Runner;
-use crate::sweep::{RunConfig, WorkloadCurve};
+use crate::sweep::RunConfig;
 use pipedepth_sim::{Features, IssuePolicy, SimConfig};
 use pipedepth_workloads::{suite_class, Workload, WorkloadClass};
 use std::fmt;
@@ -132,24 +132,13 @@ impl Ablation {
     }
 }
 
-/// Sweeps one workload under one variant (same methodology as the main
-/// sweeps, but on a variant machine).
-fn sweep_variant(
-    runner: &Runner,
-    workload: &Workload,
-    variant: Variant,
-    config: &RunConfig,
-) -> WorkloadCurve {
-    runner.sweep_workload_with(workload, config, |depth| variant.config(depth))
-}
-
-/// Runs the full ablation study on one workload, on a shared runner so the
-/// baseline arm reuses any cached paper-machine cells.
-pub fn run_with(runner: &Runner, workload: &Workload, config: &RunConfig) -> Ablation {
+/// Runs the full ablation study on one workload, on the caller's runner so
+/// the baseline arm reuses any cached paper-machine cells.
+pub fn run(runner: &Runner, workload: &Workload, config: &RunConfig) -> Ablation {
     let points = Variant::ALL
         .iter()
         .map(|&variant| {
-            let curve = sweep_variant(runner, workload, variant, config);
+            let curve = runner.sweep_workload_with(workload, config, |depth| variant.config(depth));
             let opt = optimum_of(&curve);
             let cpi_at_8 = curve
                 .points
@@ -170,12 +159,6 @@ pub fn run_with(runner: &Runner, workload: &Workload, config: &RunConfig) -> Abl
         workload_name: workload.name.clone(),
         points,
     }
-}
-
-/// Runs the full ablation study on one workload with a private serial
-/// runner.
-pub fn run(workload: &Workload, config: &RunConfig) -> Ablation {
-    run_with(&Runner::serial(), workload, config)
 }
 
 /// Registry spec: ablate the representative modern workload.
@@ -200,7 +183,7 @@ impl crate::experiment::Experiment for Spec {
             .into_iter()
             .next()
             .expect("modern class populated");
-        let study = run_with(&ctx.runner, &w, &ctx.config);
+        let study = run(&ctx.runner, &w, &ctx.config);
         crate::experiment::ExperimentOutput::summary_only(study.to_string())
     }
 }
@@ -235,6 +218,7 @@ impl fmt::Display for Ablation {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner;
     use pipedepth_workloads::{suite_class, WorkloadClass};
 
     fn quick() -> RunConfig {
@@ -251,7 +235,7 @@ mod tests {
             .into_iter()
             .next()
             .unwrap();
-        run(&w, &quick())
+        run(runner::shared(), &w, &quick())
     }
 
     #[test]

@@ -7,7 +7,8 @@
 //! sample-size sensitive).
 
 use crate::figures::fig6::optimum_of;
-use crate::sweep::{sweep_workload, RunConfig};
+use crate::runner::Runner;
+use crate::sweep::RunConfig;
 use pipedepth_workloads::Workload;
 use std::fmt;
 
@@ -51,13 +52,13 @@ impl Convergence {
     }
 }
 
-/// Runs the study: sweeps `workload` at each instruction count (warmup
-/// scales at half the measurement size).
+/// Runs the study on the caller's runner: sweeps `workload` at each
+/// instruction count (warmup scales at half the measurement size).
 ///
 /// # Panics
 ///
 /// Panics if `sizes` is empty or not ascending.
-pub fn run(workload: &Workload, base: &RunConfig, sizes: &[u64]) -> Convergence {
+pub fn run(runner: &Runner, workload: &Workload, base: &RunConfig, sizes: &[u64]) -> Convergence {
     assert!(!sizes.is_empty(), "need at least one sample size");
     assert!(
         sizes.windows(2).all(|w| w[1] > w[0]),
@@ -71,7 +72,7 @@ pub fn run(workload: &Workload, base: &RunConfig, sizes: &[u64]) -> Convergence 
                 instructions: n,
                 ..base.clone()
             };
-            let curve = sweep_workload(workload, &config);
+            let curve = runner.sweep_workload(workload, &config);
             ConvergencePoint {
                 instructions: n,
                 optimum_depth: optimum_of(&curve).cubic_fit_depth,
@@ -115,6 +116,7 @@ impl fmt::Display for Convergence {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner;
     use pipedepth_workloads::{suite_class, WorkloadClass};
 
     fn study() -> Convergence {
@@ -126,7 +128,7 @@ mod tests {
             depths: (2..=24).step_by(2).collect(),
             ..RunConfig::default()
         };
-        run(&w, &base, &[16_000, 32_000, 64_000])
+        run(runner::shared(), &w, &base, &[16_000, 32_000, 64_000])
     }
 
     #[test]
@@ -153,6 +155,11 @@ mod tests {
             .into_iter()
             .next()
             .unwrap();
-        let _ = run(&w, &RunConfig::default(), &[10_000, 5_000]);
+        let _ = run(
+            runner::shared(),
+            &w,
+            &RunConfig::default(),
+            &[10_000, 5_000],
+        );
     }
 }

@@ -1,13 +1,14 @@
-//! Backend selection and the simulation [`Evaluator`] backend.
+//! Backend selection and the simulation backend.
 //!
 //! [`pipedepth_core::eval`] defines the backend-agnostic evaluation layer:
-//! [`CellSpec`] requests, [`EvalOutcome`] rows, the [`Evaluator`] trait and
-//! the closed-form [`AnalyticModel`]. This module supplies the other half:
+//! [`CellSpec`] requests, [`EvalOutcome`] rows and the closed-form
+//! [`AnalyticModel`]. This module supplies the other half:
 //!
-//! * [`SimBackend`] — the cycle-accurate backend, adapting the cell
-//!   [`Runner`] (and its simulation cache) to the [`Evaluator`] trait;
+//! * [`SimBackend`] — the cycle-accurate backend, answering evaluation
+//!   cells from the cell [`Runner`] (and its simulation cache);
 //! * [`Backend`] — the `--backend {sim,model}` selector shared by the
-//!   `repro` and `sweep` binaries;
+//!   `repro` and `sweep` binaries, and [`curves`], the depth sweeps of a
+//!   workload set under either one;
 //! * [`fitted_profile`] / [`model_curves`] — per-workload analytic
 //!   profiles (class means fitted from reference simulations, spread by a
 //!   deterministic per-workload perturbation, mirroring how the suite
@@ -18,13 +19,10 @@
 use crate::extract::{extract_from_report, ExtractedParams};
 use crate::runner::{CellSpec as SimCell, Runner};
 use crate::sweep::{DepthPoint, RunConfig, WorkloadCurve};
-use pipedepth_core::eval::{
-    AnalyticModel, CellSpec, EvalError, EvalOutcome, Evaluator, WorkloadProfile,
-};
+use pipedepth_core::eval::{AnalyticModel, CellSpec, EvalError, EvalOutcome, WorkloadProfile};
 use pipedepth_power::{measure, metric, Gating, PowerConfig};
 use pipedepth_sim::{SimConfig, SimReport};
 use pipedepth_workloads::{suite, Workload, WorkloadClass};
-use std::borrow::Borrow;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::str::FromStr;
@@ -218,31 +216,41 @@ pub fn model_curves(workloads: &[Workload], config: &RunConfig) -> Vec<WorkloadC
         .collect()
 }
 
-/// The cycle-accurate [`Evaluator`] backend: adapts the cell [`Runner`]
-/// (worker pool, simulation cache, annotation store) to the backend-agnostic
-/// trait. Outcomes are derived from the [`SimReport`] exactly as the sweep
-/// layer derives its [`DepthPoint`]s, so a `SimBackend` evaluation of a
-/// swept cell reproduces the curve's numbers bit for bit (and hits the
-/// runner's cache instead of re-simulating).
-///
-/// Generic over how the runner is held — a borrow for experiment code
-/// (`SimBackend::new(&runner)`), an owning [`Arc`] for long-lived
-/// consumers like the `pipedepth-serve` service (`SimBackend::new(arc)`).
-/// The default parameter makes `SimBackend` (unannotated) the owning form.
-pub struct SimBackend<R: Borrow<Runner> = Arc<Runner>> {
-    runner: R,
+/// The depth sweeps of `workloads` under `backend`: simulated on `runner`
+/// under `sim`, evaluated in closed form by [`model_curves`] under `model`,
+/// which leaves the runner untouched.
+pub fn curves(
+    backend: Backend,
+    runner: &Runner,
+    workloads: &[Workload],
+    config: &RunConfig,
+) -> Vec<WorkloadCurve> {
+    match backend {
+        Backend::Sim => runner.sweep_all(workloads, config),
+        Backend::Model => model_curves(workloads, config),
+    }
+}
+
+/// The cycle-accurate backend: answers evaluation cells from the cell
+/// [`Runner`] (worker pool, simulation cache, annotation store). Outcomes
+/// are derived from the [`SimReport`] exactly as the sweep layer derives
+/// its [`DepthPoint`]s, so evaluating a swept cell reproduces the curve's
+/// numbers bit for bit (and hits the runner's cache instead of
+/// re-simulating).
+pub struct SimBackend {
+    runner: Arc<Runner>,
     by_name: BTreeMap<String, Workload>,
 }
 
-impl<R: Borrow<Runner>> SimBackend<R> {
+impl SimBackend {
     /// A simulation backend resolving workload ids against the full suite.
-    pub fn new(runner: R) -> Self {
+    pub fn new(runner: Arc<Runner>) -> Self {
         Self::with_workloads(runner, &suite())
     }
 
     /// A simulation backend resolving workload ids against an explicit
     /// workload set (tests and custom sweeps).
-    pub fn with_workloads(runner: R, workloads: &[Workload]) -> Self {
+    pub fn with_workloads(runner: Arc<Runner>, workloads: &[Workload]) -> Self {
         SimBackend {
             runner,
             by_name: workloads
@@ -254,7 +262,7 @@ impl<R: Borrow<Runner>> SimBackend<R> {
 
     /// The underlying cell runner.
     pub fn runner(&self) -> &Runner {
-        self.runner.borrow()
+        &self.runner
     }
 
     /// The outcome of `cell` if the runner's cache already holds its
@@ -265,13 +273,13 @@ impl<R: Borrow<Runner>> SimBackend<R> {
     ///
     /// # Errors
     ///
-    /// The `invalid_cell` error [`Evaluator::evaluate`] would answer, for a
-    /// cell no simulation can run, so a caller can refuse it without a
+    /// The `invalid_cell` error [`SimBackend::evaluate`] would answer, for
+    /// a cell no simulation can run, so a caller can refuse it without a
     /// dispatch.
     pub fn cached(&self, cell: &CellSpec) -> Result<Option<EvalOutcome>, EvalError> {
         let sim_cell = self.prepare(cell)?;
         Ok(self
-            .runner()
+            .runner
             .cached(&sim_cell)
             .map(|report| outcome_from_report(&report, cell)))
     }
@@ -300,26 +308,17 @@ impl<R: Borrow<Runner>> SimBackend<R> {
             cell.instructions,
         ))
     }
-}
-
-impl<R: Borrow<Runner>> fmt::Debug for SimBackend<R> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("SimBackend")
-            .field("workloads", &self.by_name.len())
-            .finish()
-    }
-}
-
-impl<R: Borrow<Runner> + Send + Sync> Evaluator for SimBackend<R> {
-    fn name(&self) -> &'static str {
-        "sim"
-    }
 
     /// Simulates the cell (or retrieves it from the runner's cache) and
     /// reduces the report to the common outcome row.
-    fn evaluate(&self, cell: &CellSpec) -> Result<EvalOutcome, EvalError> {
+    ///
+    /// # Errors
+    ///
+    /// `invalid_cell` for an unknown workload, a depth outside the
+    /// machine's range or an empty or oversized measurement window.
+    pub fn evaluate(&self, cell: &CellSpec) -> Result<EvalOutcome, EvalError> {
         let sim_cell = self.prepare(cell)?;
-        let report = &self.runner().run_cells(std::slice::from_ref(&sim_cell))[0];
+        let report = &self.runner.run_cells(std::slice::from_ref(&sim_cell))[0];
         Ok(outcome_from_report(report, cell))
     }
 
@@ -328,7 +327,7 @@ impl<R: Borrow<Runner> + Send + Sync> Evaluator for SimBackend<R> {
     /// [`Runner::run_cells`] call (which coalesces duplicates, replays
     /// depth mates in one pass and fans out over the worker pool once),
     /// and outcomes are mapped back in order.
-    fn evaluate_batch(&self, cells: &[CellSpec]) -> Vec<Result<EvalOutcome, EvalError>> {
+    pub fn evaluate_batch(&self, cells: &[CellSpec]) -> Vec<Result<EvalOutcome, EvalError>> {
         let prepared: Vec<Result<SimCell, EvalError>> =
             cells.iter().map(|cell| self.prepare(cell)).collect();
         let runnable: Vec<SimCell> = prepared
@@ -336,7 +335,7 @@ impl<R: Borrow<Runner> + Send + Sync> Evaluator for SimBackend<R> {
             .filter_map(|r| r.as_ref().ok())
             .copied()
             .collect();
-        let reports = self.runner().run_cells(&runnable);
+        let reports = self.runner.run_cells(&runnable);
         let mut reports = reports.iter();
         prepared
             .into_iter()
@@ -350,6 +349,14 @@ impl<R: Borrow<Runner> + Send + Sync> Evaluator for SimBackend<R> {
                 })
             })
             .collect()
+    }
+}
+
+impl fmt::Debug for SimBackend {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("SimBackend")
+            .field("workloads", &self.by_name.len())
+            .finish()
     }
 }
 
@@ -444,11 +451,11 @@ mod tests {
 
     #[test]
     fn sim_backend_matches_the_sweep_layer_exactly() {
-        let runner = Runner::serial();
+        let runner = Arc::new(Runner::serial());
         let cfg = tiny();
         let w = &representatives()[1];
         let curve = runner.sweep_workload(w, &cfg);
-        let backend = SimBackend::with_workloads(&runner, std::slice::from_ref(w));
+        let backend = SimBackend::with_workloads(Arc::clone(&runner), std::slice::from_ref(w));
         for point in &curve.points {
             let cell = cell_for(w, fitted_profile(w), point.depth, &cfg);
             let out = backend.evaluate(&cell).expect("swept cells are valid");
@@ -468,8 +475,7 @@ mod tests {
 
     #[test]
     fn sim_backend_rejects_unknown_workloads_as_values() {
-        let runner = Runner::serial();
-        let backend = SimBackend::with_workloads(&runner, &[]);
+        let backend = SimBackend::with_workloads(Arc::new(Runner::serial()), &[]);
         let w = &representatives()[0];
         let err = backend
             .evaluate(&cell_for(w, fitted_profile(w), 8, &tiny()))
@@ -480,9 +486,9 @@ mod tests {
 
     #[test]
     fn sim_backend_rejects_out_of_range_cells_as_values() {
-        let runner = Runner::serial();
+        let runner = Arc::new(Runner::serial());
         let w = &representatives()[0];
-        let backend = SimBackend::with_workloads(&runner, std::slice::from_ref(w));
+        let backend = SimBackend::with_workloads(Arc::clone(&runner), std::slice::from_ref(w));
         let cell = |depth: u32, warmup: u64, instructions: u64| CellSpec {
             warmup,
             instructions,
@@ -504,10 +510,10 @@ mod tests {
 
     #[test]
     fn batch_evaluation_is_one_dispatch_and_matches_single_cells() {
-        let runner = Runner::serial();
+        let runner = Arc::new(Runner::serial());
         let cfg = tiny();
         let w = &representatives()[0];
-        let backend = SimBackend::with_workloads(&runner, std::slice::from_ref(w));
+        let backend = SimBackend::with_workloads(Arc::clone(&runner), std::slice::from_ref(w));
         let mut cells: Vec<CellSpec> = cfg
             .depths
             .iter()
@@ -528,28 +534,6 @@ mod tests {
             let single = backend.evaluate(&cells[i]).expect("valid cell");
             assert_eq!(result.as_ref().expect("valid cell"), &single);
         }
-    }
-
-    #[test]
-    fn sim_backend_works_behind_an_owning_arc() {
-        use std::sync::Arc;
-        let runner = Arc::new(Runner::serial());
-        let cfg = tiny();
-        let w = &representatives()[0];
-        let backend: SimBackend =
-            SimBackend::with_workloads(Arc::clone(&runner), std::slice::from_ref(w));
-        let out = backend
-            .evaluate(&cell_for(w, fitted_profile(w), 8, &cfg))
-            .expect("valid cell");
-        assert!(out.throughput > 0.0);
-        // The borrow-based and Arc-based forms drive the same runner type.
-        let borrowed = SimBackend::with_workloads(&*runner, std::slice::from_ref(w));
-        assert_eq!(
-            borrowed
-                .evaluate(&cell_for(w, fitted_profile(w), 8, &cfg))
-                .expect("valid cell"),
-            out
-        );
     }
 
     #[test]

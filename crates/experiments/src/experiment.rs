@@ -8,7 +8,7 @@
 //! times them, prints summaries and writes artifacts; it contains no
 //! figure logic of its own.
 
-use crate::eval::{model_curves, Backend};
+use crate::eval::{curves, Backend};
 use crate::report::Table;
 use crate::runner::Runner;
 use crate::sweep::{RunConfig, WorkloadCurve};
@@ -118,13 +118,8 @@ impl Context {
     /// afterwards: simulated under the `sim` backend, evaluated in
     /// closed form (no simulator in the call path) under `model`.
     pub fn curves(&self) -> &[WorkloadCurve] {
-        self.curves.get_or_init(|| {
-            if self.backend.uses_sim() {
-                self.runner.sweep_all(&suite(), &self.config)
-            } else {
-                model_curves(&suite(), &self.config)
-            }
-        })
+        self.curves
+            .get_or_init(|| curves(self.backend, &self.runner, &suite(), &self.config))
     }
 
     /// Whether the suite sweep has been materialised yet.

@@ -50,7 +50,8 @@ impl ExtractedParams {
     }
 
     /// The extraction as a backend-agnostic [`WorkloadProfile`] — the
-    /// analytic [`Evaluator`](pipedepth_core::Evaluator) backend's input.
+    /// input of the analytic backend,
+    /// [`AnalyticModel`](pipedepth_core::AnalyticModel).
     pub fn profile(&self) -> WorkloadProfile {
         WorkloadProfile {
             alpha: self.alpha,

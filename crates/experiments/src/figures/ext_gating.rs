@@ -16,7 +16,7 @@ use pipedepth_core::{
 };
 use pipedepth_power::{metric, Gating, PowerConfig};
 use pipedepth_sim::SimConfig;
-use pipedepth_workloads::{suite_class, Workload, WorkloadClass};
+use pipedepth_workloads::{Workload, WorkloadClass};
 use std::fmt;
 
 /// The gating fractions swept (1.0 = ungated).
@@ -38,11 +38,11 @@ pub struct ExtGating {
     pub sim_complete_gating: u32,
 }
 
-/// Runs the sweep for one workload on a shared runner. The simulation side
-/// needs only one paper-machine run per depth — every gating degree is a
-/// power-model post-processing of the same reports — so on a runner that
-/// already swept the suite this experiment simulates nothing new.
-pub fn run_for_with(
+/// Runs the sweep for one workload on the caller's runner. The simulation
+/// side needs only one paper-machine run per depth — every gating degree
+/// is a power-model post-processing of the same reports — so on a runner
+/// that already swept the suite this experiment simulates nothing new.
+pub fn run(
     runner: &Runner,
     workload: &Workload,
     extracted: &ExtractedParams,
@@ -103,22 +103,6 @@ pub fn run_for_with(
     }
 }
 
-/// Runs the sweep for one workload with a private serial runner.
-pub fn run_for(workload: &Workload, extracted: &ExtractedParams, config: &RunConfig) -> ExtGating {
-    run_for_with(&Runner::serial(), workload, extracted, config)
-}
-
-/// Runs the experiment end to end on the first modern workload.
-pub fn run(config: &RunConfig) -> ExtGating {
-    let w = suite_class(WorkloadClass::Modern)
-        .into_iter()
-        .next()
-        .expect("modern class populated");
-    let runner = Runner::serial();
-    let curve = runner.sweep_workload(&w, config);
-    run_for_with(&runner, &w, &curve.extracted, config)
-}
-
 /// Registry spec: the gating-degree sweep on the representative modern
 /// workload.
 #[derive(Debug)]
@@ -143,7 +127,7 @@ impl crate::experiment::Experiment for Spec {
 
     fn run(&self, ctx: &crate::experiment::Context) -> crate::experiment::ExperimentOutput {
         let curve = ctx.curve_for(WorkloadClass::Modern);
-        let fig = run_for_with(&ctx.runner, &curve.workload, &curve.extracted, &ctx.config);
+        let fig = run(&ctx.runner, &curve.workload, &curve.extracted, &ctx.config);
         crate::experiment::ExperimentOutput::summary_only(fig.to_string())
     }
 }
@@ -176,19 +160,30 @@ impl fmt::Display for ExtGating {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner;
+    use pipedepth_workloads::suite_class;
 
-    fn quick() -> RunConfig {
-        RunConfig {
+    /// The experiment on the first modern workload, parameterised from its
+    /// own sweep, as the registry spec runs it.
+    fn quick_fig() -> ExtGating {
+        let config = RunConfig {
             warmup: 6_000,
             instructions: 12_000,
             depths: (2..=20).step_by(2).collect(),
             ..RunConfig::default()
-        }
+        };
+        let w = suite_class(WorkloadClass::Modern)
+            .into_iter()
+            .next()
+            .expect("modern class populated");
+        let runner = runner::shared();
+        let curve = runner.sweep_workload(&w, &config);
+        run(runner, &w, &curve.extracted, &config)
     }
 
     #[test]
     fn less_clocking_means_deeper_optima() {
-        let fig = run(&quick());
+        let fig = quick_fig();
         // Simulated optima must not shrink as the gated fraction falls.
         for w in fig.sim_optima.windows(2) {
             assert!(
@@ -206,7 +201,7 @@ mod tests {
 
     #[test]
     fn complete_gating_at_least_as_deep_as_partial() {
-        let fig = run(&quick());
+        let fig = quick_fig();
         assert!(fig.sim_complete_gating >= fig.sim_optima[0]);
     }
 }

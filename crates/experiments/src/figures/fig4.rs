@@ -8,11 +8,20 @@
 //! describes.
 
 use crate::extract::{theory_curve, theory_model};
-use crate::sweep::{sweep_workload, RunConfig, WorkloadCurve};
+use crate::sweep::{RunConfig, WorkloadCurve};
 use pipedepth_core::MetricExponent;
 use pipedepth_math::fit::scale_fit;
-use pipedepth_workloads::{suite_class, Workload, WorkloadClass};
+use pipedepth_workloads::{Workload, WorkloadClass};
 use std::fmt;
+
+/// The classes of the paper's three panels, in order: 4a modern, 4b
+/// SPECint, 4c floating point. Each panel shows the class's first suite
+/// workload.
+pub const PANEL_CLASSES: [WorkloadClass; 3] = [
+    WorkloadClass::Modern,
+    WorkloadClass::SpecInt,
+    WorkloadClass::FloatingPoint,
+];
 
 /// One workload's panel of Figure 4.
 #[derive(Debug, Clone, PartialEq)]
@@ -89,25 +98,6 @@ pub fn panel_from_curve(curve: &WorkloadCurve, config: &RunConfig) -> Fig4Panel 
     }
 }
 
-/// Runs Figure 4 on the first workload of each of the paper's three panel
-/// classes.
-pub fn run(config: &RunConfig) -> Fig4 {
-    let classes = [
-        WorkloadClass::Modern,
-        WorkloadClass::SpecInt,
-        WorkloadClass::FloatingPoint,
-    ];
-    let panels = classes
-        .iter()
-        .map(|&c| {
-            let w = suite_class(c).into_iter().next().expect("class populated");
-            let curve = sweep_workload(&w, config);
-            panel_from_curve(&curve, config)
-        })
-        .collect();
-    Fig4 { panels }
-}
-
 /// Registry spec: build the three panels from the shared suite sweep and
 /// emit `fig4a.csv`–`fig4c.csv` plus a terminal chart of panel 4a.
 #[derive(Debug)]
@@ -127,13 +117,8 @@ impl crate::experiment::Experiment for Spec {
     }
 
     fn run(&self, ctx: &crate::experiment::Context) -> crate::experiment::ExperimentOutput {
-        let classes = [
-            WorkloadClass::Modern,
-            WorkloadClass::SpecInt,
-            WorkloadClass::FloatingPoint,
-        ];
         let fig = Fig4 {
-            panels: classes
+            panels: PANEL_CLASSES
                 .iter()
                 .map(|&c| panel_from_curve(ctx.curve_for(c), &ctx.config))
                 .collect(),
@@ -193,6 +178,8 @@ impl fmt::Display for Fig4 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner;
+    use pipedepth_workloads::suite_class;
 
     fn quick() -> RunConfig {
         RunConfig {
@@ -203,9 +190,23 @@ mod tests {
         }
     }
 
+    /// The three panels under [`quick`], each from its class's first
+    /// workload.
+    fn quick_fig() -> Fig4 {
+        let config = quick();
+        let panels = PANEL_CLASSES
+            .iter()
+            .map(|&c| {
+                let w = suite_class(c).into_iter().next().expect("class populated");
+                panel_from_curve(&runner::shared().sweep_workload(&w, &config), &config)
+            })
+            .collect();
+        Fig4 { panels }
+    }
+
     #[test]
     fn three_panels_in_paper_order() {
-        let fig = run(&quick());
+        let fig = quick_fig();
         assert_eq!(fig.panels.len(), 3);
         assert_eq!(fig.panels[0].workload.class, WorkloadClass::Modern);
         assert_eq!(fig.panels[1].workload.class, WorkloadClass::SpecInt);
@@ -216,7 +217,7 @@ mod tests {
     fn gated_curve_sits_above_ungated() {
         // The paper: "The non-clock gated data fall below the clock gated
         // data because of the larger power usage in the latter case."
-        let fig = run(&quick());
+        let fig = quick_fig();
         for p in &fig.panels {
             for (g, u) in p.sim_gated.iter().zip(&p.sim_ungated) {
                 assert!(g > u);
@@ -226,7 +227,7 @@ mod tests {
 
     #[test]
     fn gating_pushes_peak_deeper_or_equal() {
-        let fig = run(&quick());
+        let fig = quick_fig();
         for p in &fig.panels {
             assert!(
                 p.sim_gated_peak >= p.sim_ungated_peak,
@@ -243,7 +244,7 @@ mod tests {
         // "the theory gives a reasonable account of the simulations":
         // require a decent R² for the integer-class panels (FP is the
         // noisiest in the paper too).
-        let fig = run(&quick());
+        let fig = quick_fig();
         assert!(
             fig.panels[0].r2_gated > 0.6,
             "modern R² {}",

@@ -6,11 +6,11 @@
 //! fitted curve's maximum as the observed optimum. The resulting
 //! distribution is centred near 8 stages (20 FO4 per stage).
 
-use crate::sweep::{sweep_all, RunConfig, WorkloadCurve};
+use crate::sweep::WorkloadCurve;
 use pipedepth_math::fit::cubic_peak_fit;
 use pipedepth_math::histogram::Histogram;
 use pipedepth_math::stats::Summary;
-use pipedepth_workloads::{suite, WorkloadClass};
+use pipedepth_workloads::WorkloadClass;
 use std::fmt;
 
 /// One workload's extracted optimum.
@@ -75,13 +75,6 @@ pub fn from_curves(curves: &[WorkloadCurve]) -> Fig6 {
         histogram,
         summary,
     }
-}
-
-/// Runs the full 55-workload Figure 6 experiment.
-pub fn run(config: &RunConfig) -> Fig6 {
-    let workloads = suite();
-    let curves = sweep_all(&workloads, config);
-    from_curves(&curves)
 }
 
 /// Registry spec: the full-suite optimum distribution with `fig6.csv`.
@@ -153,7 +146,8 @@ impl fmt::Display for Fig6 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sweep::sweep_workload;
+    use crate::runner;
+    use crate::sweep::RunConfig;
     use pipedepth_workloads::representatives;
 
     fn quick() -> RunConfig {
@@ -169,7 +163,7 @@ mod tests {
     fn representative_optima_in_physical_range() {
         let curves: Vec<_> = representatives()
             .iter()
-            .map(|w| sweep_workload(w, &quick()))
+            .map(|w| runner::shared().sweep_workload(w, &quick()))
             .collect();
         let fig = from_curves(&curves);
         assert_eq!(fig.optima.len(), 4);
@@ -188,7 +182,7 @@ mod tests {
     fn cubic_fit_near_grid_argmax() {
         let curves: Vec<_> = representatives()
             .iter()
-            .map(|w| sweep_workload(w, &quick()))
+            .map(|w| runner::shared().sweep_workload(w, &quick()))
             .collect();
         for c in &curves {
             let o = optimum_of(c);
@@ -206,7 +200,7 @@ mod tests {
     fn fo4_conversion() {
         let curves: Vec<_> = representatives()
             .iter()
-            .map(|w| sweep_workload(w, &quick()))
+            .map(|w| runner::shared().sweep_workload(w, &quick()))
             .collect();
         let fig = from_curves(&curves);
         let fo4 = fig.mean_fo4_per_stage();

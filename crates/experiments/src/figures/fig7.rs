@@ -5,10 +5,10 @@
 //! and floating point spreads over 6–16 stages.
 
 use crate::figures::fig6::{optimum_of, WorkloadOptimum};
-use crate::sweep::{sweep_all, RunConfig, WorkloadCurve};
+use crate::sweep::WorkloadCurve;
 use pipedepth_math::histogram::Histogram;
 use pipedepth_math::stats::Summary;
-use pipedepth_workloads::{suite, WorkloadClass};
+use pipedepth_workloads::WorkloadClass;
 use std::fmt;
 
 /// One class's distribution.
@@ -75,13 +75,6 @@ pub fn from_curves(curves: &[WorkloadCurve]) -> Fig7 {
     Fig7 { classes }
 }
 
-/// Runs the full 55-workload Figure 7 experiment.
-pub fn run(config: &RunConfig) -> Fig7 {
-    let workloads = suite();
-    let curves = sweep_all(&workloads, config);
-    from_curves(&curves)
-}
-
 /// Registry spec: the per-class breakdown of the suite optima.
 #[derive(Debug)]
 pub struct Spec;
@@ -128,7 +121,8 @@ impl fmt::Display for Fig7 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sweep::sweep_workload;
+    use crate::runner;
+    use crate::sweep::RunConfig;
     use pipedepth_workloads::suite_class;
 
     /// Two workloads per class keeps this affordable as a unit test; the
@@ -143,7 +137,7 @@ mod tests {
         WorkloadClass::ALL
             .iter()
             .flat_map(|&c| suite_class(c).into_iter().take(2))
-            .map(|w| sweep_workload(&w, &cfg))
+            .map(|w| runner::shared().sweep_workload(&w, &cfg))
             .collect()
     }
 

@@ -11,7 +11,7 @@ use pipedepth_core::{
     leakage_sweep, normalized_leakage_curves, ClockGating, MetricExponent, PowerParams,
     SweepConfig, TechParams,
 };
-use pipedepth_workloads::{suite_class, WorkloadClass};
+use pipedepth_workloads::WorkloadClass;
 use std::fmt;
 
 /// Result of the Figure 8 experiment.
@@ -51,17 +51,6 @@ pub fn run_with_params(extracted: &ExtractedParams, config: &RunConfig) -> Fig8 
         depths,
         curves,
     }
-}
-
-/// Runs Figure 8 end to end: extract parameters from the first SPECint
-/// workload at the reference depth, then sweep leakage analytically.
-pub fn run(config: &RunConfig) -> Fig8 {
-    let w = suite_class(WorkloadClass::SpecInt)
-        .into_iter()
-        .next()
-        .expect("SPECint class populated");
-    let curve = crate::sweep::sweep_workload(&w, config);
-    run_with_params(&curve.extracted, config)
 }
 
 /// Registry spec: the leakage sweep, parameterised from the representative

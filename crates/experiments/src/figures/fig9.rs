@@ -11,7 +11,7 @@ use pipedepth_core::{
     latch_growth_sweep, ClockGating, MetricExponent, PipelineModel, PowerParams, SweepConfig,
     TechParams,
 };
-use pipedepth_workloads::{suite_class, WorkloadClass};
+use pipedepth_workloads::WorkloadClass;
 use std::fmt;
 
 /// Result of the Figure 9 experiment.
@@ -68,16 +68,6 @@ pub fn run_with_params(extracted: &ExtractedParams, config: &RunConfig) -> Fig9 
         depths,
         curves,
     }
-}
-
-/// Runs Figure 9 end to end (parameters from the first SPECint workload).
-pub fn run(config: &RunConfig) -> Fig9 {
-    let w = suite_class(WorkloadClass::SpecInt)
-        .into_iter()
-        .next()
-        .expect("SPECint class populated");
-    let curve = crate::sweep::sweep_workload(&w, config);
-    run_with_params(&curve.extracted, config)
 }
 
 /// Registry spec: the latch-growth-exponent sweep with `fig9.csv`.

@@ -8,11 +8,10 @@
 
 use crate::extract::theory_model;
 use crate::figures::fig6;
-use crate::sweep::{sweep_all, RunConfig, WorkloadCurve};
+use crate::sweep::{RunConfig, WorkloadCurve};
 use pipedepth_core::{numeric_optimum, MetricExponent};
 use pipedepth_math::fit::cubic_peak_fit;
 use pipedepth_math::stats::Summary;
-use pipedepth_workloads::suite;
 use std::fmt;
 
 /// The recomputed headline numbers.
@@ -107,13 +106,6 @@ pub fn from_curves(curves: &[WorkloadCurve], config: &RunConfig) -> Headline {
     }
 }
 
-/// Runs the headline computation over the full 55-workload suite.
-pub fn run(config: &RunConfig) -> Headline {
-    let workloads = suite();
-    let curves = sweep_all(&workloads, config);
-    from_curves(&curves, config)
-}
-
 /// Registry spec: the headline numbers from the shared suite sweep.
 #[derive(Debug)]
 pub struct Spec;
@@ -176,7 +168,7 @@ impl fmt::Display for Headline {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sweep::sweep_workload;
+    use crate::runner;
     use pipedepth_workloads::representatives;
 
     fn quick_headline() -> Headline {
@@ -188,7 +180,7 @@ mod tests {
         };
         let curves: Vec<_> = representatives()
             .iter()
-            .map(|w| sweep_workload(w, &cfg))
+            .map(|w| runner::shared().sweep_workload(w, &cfg))
             .collect();
         from_curves(&curves, &cfg)
     }

@@ -9,16 +9,11 @@
 //! simulated one — both absolute, and after a per-workload least-squares
 //! scale fit (the shape error, which is what the paper's Fig. 4 overlays
 //! measure; the extraction carries a known per-workload scale offset).
-//!
-//! Both sides go through the backend-agnostic [`Evaluator`] interface: the
-//! analytic side by construction, and the simulation side via a
-//! [`SimBackend`] spot-check that re-requests one cached cell per class
-//! and asserts the adapter reproduces the sweep's numbers exactly.
 
-use crate::eval::{cell_for, SimBackend};
+use crate::eval::cell_for;
 use crate::experiment::{Artifact, Context, ExperimentOutput};
 use crate::report::Table;
-use pipedepth_core::eval::{AnalyticModel, Evaluator};
+use pipedepth_core::eval::AnalyticModel;
 use pipedepth_workloads::WorkloadClass;
 use std::fmt;
 
@@ -57,9 +52,6 @@ impl XvalRow {
 pub struct Xval {
     /// Every compared cell, in suite × depth order.
     pub rows: Vec<XvalRow>,
-    /// Cells re-evaluated through the simulation backend adapter and
-    /// matched exactly against the sweep.
-    pub adapter_checked: usize,
 }
 
 impl Xval {
@@ -149,37 +141,7 @@ pub fn run_for(ctx: &Context) -> Xval {
         rows.extend(workload_rows);
     }
 
-    // Adapter spot-check: one cached cell per class back through the
-    // simulation Evaluator must reproduce the sweep bit for bit.
-    let backend = SimBackend::new(&ctx.runner);
-    let mut adapter_checked = 0;
-    for class in WorkloadClass::ALL {
-        let curve = ctx.curve_for(class);
-        let point = &curve.points[curve.points.len() / 2];
-        let cell = cell_for(
-            &curve.workload,
-            curve.extracted.profile(),
-            point.depth,
-            &ctx.config,
-        );
-        let out = backend
-            .evaluate(&cell)
-            // analysis: allow(panic-path) — the cell re-requests a point the
-            // sweep already simulated, so it is valid by construction
-            .expect("swept cells are valid");
-        assert_eq!(
-            (out.cpi, out.throughput, out.metric_gated),
-            (point.cpi, point.throughput, point.metric_gated),
-            "sim backend must reproduce the swept cell for {}",
-            curve.workload.name
-        );
-        adapter_checked += 1;
-    }
-
-    Xval {
-        rows,
-        adapter_checked,
-    }
+    Xval { rows }
 }
 
 impl fmt::Display for Xval {
@@ -188,12 +150,7 @@ impl fmt::Display for Xval {
             f,
             "Cross-validation — analytic model vs simulation, per-cell τ"
         )?;
-        writeln!(
-            f,
-            "  {} cells, {} adapter-checked through the sim Evaluator",
-            self.rows.len(),
-            self.adapter_checked
-        )?;
+        writeln!(f, "  {} cells", self.rows.len())?;
         writeln!(
             f,
             "  {:>8} {:>12} {:>12}",
@@ -290,7 +247,6 @@ mod tests {
         let ctx = Context::new(cfg, Runner::serial());
         let xval = run_for(&ctx);
         assert_eq!(xval.rows.len(), ctx.curves().len() * 3);
-        assert_eq!(xval.adapter_checked, 4);
         for r in &xval.rows {
             assert!(r.tau_sim > 0.0 && r.tau_model > 0.0);
         }

@@ -57,13 +57,9 @@ pub struct IssuePolicyStudy {
     pub comparisons: Vec<PolicyComparison>,
 }
 
-/// Runs the study over the given workloads on a shared runner: the
+/// Runs the study over the given workloads on the caller's runner: the
 /// in-order arm is the paper machine, so it reuses any cached suite cells.
-pub fn run_for_with(
-    runner: &Runner,
-    workloads: &[Workload],
-    config: &RunConfig,
-) -> IssuePolicyStudy {
+pub fn run(runner: &Runner, workloads: &[Workload], config: &RunConfig) -> IssuePolicyStudy {
     let comparisons = workloads
         .iter()
         .map(|w| {
@@ -102,16 +98,6 @@ pub fn run_for_with(
     IssuePolicyStudy { comparisons }
 }
 
-/// Runs the study over the given workloads with a private serial runner.
-pub fn run_for(workloads: &[Workload], config: &RunConfig) -> IssuePolicyStudy {
-    run_for_with(&Runner::serial(), workloads, config)
-}
-
-/// Runs the study over the four representative workloads.
-pub fn run(config: &RunConfig) -> IssuePolicyStudy {
-    run_for(&representatives(), config)
-}
-
 /// Registry spec: the in-order vs out-of-order comparison over the
 /// representative workloads.
 #[derive(Debug)]
@@ -131,7 +117,7 @@ impl crate::experiment::Experiment for Spec {
     }
 
     fn run(&self, ctx: &crate::experiment::Context) -> crate::experiment::ExperimentOutput {
-        let study = run_for_with(&ctx.runner, &representatives(), &ctx.config);
+        let study = run(&ctx.runner, &representatives(), &ctx.config);
         crate::experiment::ExperimentOutput::summary_only(study.to_string())
     }
 }
@@ -169,14 +155,20 @@ impl fmt::Display for IssuePolicyStudy {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner;
 
     fn quick_study() -> IssuePolicyStudy {
-        run(&RunConfig {
-            warmup: 8_000,
-            instructions: 16_000,
-            depths: (2..=24).step_by(2).collect(),
-            ..RunConfig::default()
-        })
+        let workloads = representatives();
+        run(
+            runner::shared(),
+            &workloads,
+            &RunConfig {
+                warmup: 8_000,
+                instructions: 16_000,
+                depths: (2..=24).step_by(2).collect(),
+                ..RunConfig::default()
+            },
+        )
     }
 
     #[test]

@@ -1,13 +1,16 @@
 //! Experiment harness regenerating every figure of Hartstein & Puzak,
 //! *Optimum Power/Performance Pipeline Depth* (MICRO-36, 2003).
 //!
-//! * [`sweep`] — depth sweeps of workloads over the simulator (2–25 stages,
-//!   warmup + measurement windows, parallel across workloads);
+//! * [`runner`] — the cell-level runner every simulation goes through: a
+//!   caller builds one and passes it to each sweep, figure and study, so
+//!   they all share its worker pool and simulation cache;
+//! * [`sweep`] — depth-sweep sizing and results (2–25 stages, warmup +
+//!   measurement windows);
 //! * [`extract`] — single-run extraction of the theory's parameters
 //!   (`α`, `γ`, `N_H/N_I`, κ) and assembly of the analytic model;
 //! * [`eval`] — backend selection (`--backend {sim,model}`) and the
-//!   simulation side of the backend-agnostic
-//!   [`Evaluator`](pipedepth_core::Evaluator) layer;
+//!   simulation backend beside the closed-form
+//!   [`AnalyticModel`](pipedepth_core::AnalyticModel);
 //! * [`figures`] — one driver per figure: Fig. 1 (optimality quartic),
 //!   Fig. 3 (latch growth), Figs. 4a–c (theory vs simulation), Fig. 5
 //!   (metric comparison), Fig. 6 (optimum distribution), Fig. 7 (per-class
@@ -41,7 +44,7 @@ pub mod store;
 pub mod sweep;
 
 pub use eval::{
-    fitted_profile, model_curves, outcome_from_report, Backend, SimBackend, UnknownBackend,
+    curves, fitted_profile, model_curves, outcome_from_report, Backend, SimBackend, UnknownBackend,
 };
 pub use experiment::{
     registry, select_experiments, Artifact, Context, Experiment, ExperimentOutput,
@@ -53,6 +56,4 @@ pub use extract::{
 pub use manifest::{Manifest, PhaseTiming, SCHEMA_VERSION};
 pub use runner::{CacheStats, CellSpec, Runner, SimCache};
 pub use store::{RunStore, StoreStats};
-pub use sweep::{
-    sweep_all, sweep_workload, sweep_workload_with, DepthPoint, RunConfig, WorkloadCurve,
-};
+pub use sweep::{DepthPoint, RunConfig, WorkloadCurve};

@@ -463,6 +463,15 @@ impl Default for Runner {
     }
 }
 
+/// The runner the crate's unit tests share, so tests that sweep the same
+/// cells reuse each other's reports. Tests that count cache or telemetry
+/// events build their own.
+#[cfg(test)]
+pub(crate) fn shared() -> &'static Runner {
+    static RUNNER: std::sync::OnceLock<Runner> = std::sync::OnceLock::new();
+    RUNNER.get_or_init(Runner::serial)
+}
+
 /// The cells of one workload's depth sweep.
 fn depth_cells(
     workload: &Workload,

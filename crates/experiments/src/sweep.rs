@@ -4,17 +4,14 @@
 //! (same seed) against every pipeline depth, after a warmup window that
 //! fills the caches and trains the predictor.
 //!
-//! The free functions here are convenience wrappers over the cell-level
-//! [`Runner`]: each call builds a private runner, so
-//! nothing is shared between calls. Experiments that want cross-figure
-//! cell reuse (the `repro` binary, the [`Experiment`](crate::experiment)
-//! registry) hold one runner and use its methods directly.
+//! This module holds the sweep's sizing ([`RunConfig`]) and its result
+//! ([`WorkloadCurve`]). The sweeps themselves run on a caller-held
+//! [`Runner`](crate::runner::Runner) (`sweep_workload`, `sweep_all`), so
+//! every sweep of one run shares the runner's cache.
 
 use crate::extract::ExtractedParams;
-use crate::runner::Runner;
 use crate::series;
 use pipedepth_power::{Gating, PowerConfig};
-use pipedepth_sim::SimConfig;
 use pipedepth_workloads::Workload;
 
 /// Simulation sizing for a sweep.
@@ -142,30 +139,10 @@ impl WorkloadCurve {
     }
 }
 
-/// Sweeps one workload over the configured depths.
-pub fn sweep_workload(workload: &Workload, config: &RunConfig) -> WorkloadCurve {
-    Runner::serial().sweep_workload(workload, config)
-}
-
-/// Sweeps one workload with a custom machine builder (used by the ablation
-/// and issue-policy studies to vary the microarchitecture per depth).
-pub fn sweep_workload_with(
-    workload: &Workload,
-    config: &RunConfig,
-    make_sim: impl Fn(u32) -> SimConfig,
-) -> WorkloadCurve {
-    Runner::serial().sweep_workload_with(workload, config, make_sim)
-}
-
-/// Sweeps many workloads in parallel: the cell scheduler distributes
-/// individual (workload, depth) simulations across the worker pool.
-pub fn sweep_all(workloads: &[Workload], config: &RunConfig) -> Vec<WorkloadCurve> {
-    Runner::default().sweep_all(workloads, config)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner;
     use pipedepth_workloads::representatives;
 
     fn tiny_config() -> RunConfig {
@@ -180,7 +157,7 @@ mod tests {
     #[test]
     fn sweep_produces_point_per_depth() {
         let w = &representatives()[1]; // a SPECint workload
-        let curve = sweep_workload(w, &tiny_config());
+        let curve = runner::shared().sweep_workload(w, &tiny_config());
         assert_eq!(curve.points.len(), 4);
         assert_eq!(curve.depths(), vec![4.0, 8.0, 12.0, 16.0]);
     }
@@ -188,7 +165,7 @@ mod tests {
     #[test]
     fn metrics_positive_and_gating_helps() {
         let w = &representatives()[1];
-        let curve = sweep_workload(w, &tiny_config());
+        let curve = runner::shared().sweep_workload(w, &tiny_config());
         for p in &curve.points {
             assert!(p.throughput > 0.0);
             for k in 0..3 {
@@ -202,18 +179,9 @@ mod tests {
     }
 
     #[test]
-    fn parallel_matches_serial() {
-        let ws = representatives();
-        let cfg = tiny_config();
-        let serial: Vec<_> = ws.iter().map(|w| sweep_workload(w, &cfg)).collect();
-        let parallel = sweep_all(&ws, &cfg);
-        assert_eq!(serial, parallel);
-    }
-
-    #[test]
     fn best_depth_within_range() {
         let w = &representatives()[0];
-        let curve = sweep_workload(w, &tiny_config());
+        let curve = runner::shared().sweep_workload(w, &tiny_config());
         let best = curve.best_gated_m3_depth();
         assert!(curve.points.iter().any(|p| p.depth == best));
     }
@@ -222,7 +190,7 @@ mod tests {
     #[should_panic(expected = "m must be 1, 2 or 3")]
     fn bad_metric_exponent_rejected() {
         let w = &representatives()[0];
-        let curve = sweep_workload(w, &tiny_config());
+        let curve = runner::shared().sweep_workload(w, &tiny_config());
         let _ = curve.gated_series(4);
     }
 }

@@ -1,4 +1,4 @@
-//! Property test for the backend-agnostic `Evaluator` layer: the analytic
+//! Property test for the backend-agnostic evaluation layer: the analytic
 //! model, fed the profile the simulation backend extracts at the reference
 //! depth, must agree with the simulator on CPI *shape* across a
 //! workload × depth grid.
@@ -12,12 +12,12 @@
 //! forms flatten out, so their ratio legitimately drifts more with depth
 //! than the integer classes'.
 
-use pipedepth_core::eval::{AnalyticModel, CellSpec, Evaluator};
+use pipedepth_core::eval::{AnalyticModel, CellSpec};
 use pipedepth_experiments::eval::{cell_for, SimBackend};
 use pipedepth_experiments::runner::Runner;
 use pipedepth_experiments::sweep::RunConfig;
 use pipedepth_workloads::suite;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 const DEPTHS: [u32; 5] = [4, 8, 12, 16, 20];
 /// The grid workloads with their fitted shape-tolerance bands: maximum
@@ -62,8 +62,7 @@ fn cell(workload: &str, depth: u32) -> CellSpec {
 fn grid() -> &'static Vec<GridRow> {
     static GRID: OnceLock<Vec<GridRow>> = OnceLock::new();
     GRID.get_or_init(|| {
-        let runner = Runner::serial();
-        let backend = SimBackend::new(&runner);
+        let backend = SimBackend::new(Arc::new(Runner::serial()));
         let model = AnalyticModel::paper();
         let config = config();
         let mut rows = Vec::new();
@@ -144,8 +143,7 @@ fn backends_agree_on_cpi_within_the_fitted_band() {
 
 #[test]
 fn both_backends_are_deterministic() {
-    let runner = Runner::serial();
-    let backend = SimBackend::new(&runner);
+    let backend = SimBackend::new(Arc::new(Runner::serial()));
     let model = AnalyticModel::paper();
     let sim_cell = cell("specint-00", 12);
     let fitted = backend.evaluate(&sim_cell).expect("valid cell").profile;

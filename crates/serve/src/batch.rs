@@ -7,10 +7,10 @@
 //!   submitted by concurrent requests share one [`Slot`](crate::batch::Slot), so the backend
 //!   sees each distinct cell once per flight no matter how many clients
 //!   ask for it;
-//! * **batches** — dispatch workers drain up to `batch_max` queued cells
-//!   at a time and answer them with a single
-//!   [`Evaluator::evaluate_batch`](pipedepth_core::eval::Evaluator::evaluate_batch)
-//!   call, amortising the runner's fan-out cost;
+//! * **batches** — dispatch workers drain up to
+//!   [`BATCH_MAX`](crate::batch::BATCH_MAX) queued cells at a time and
+//!   answer them with a single `SimBackend::evaluate_batch` call,
+//!   amortising the runner's fan-out cost;
 //! * **sheds** — admission is checked atomically per request against a
 //!   bounded queue: if a request's new cells do not fit, *none* of them
 //!   are enqueued and the caller gets a [`Shed`](crate::batch::Shed) to turn into a 429.
@@ -26,6 +26,9 @@ use pipedepth_telemetry::Stopwatch;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::Duration;
+
+/// Most cells a dispatch worker drains from the queue at once.
+pub const BATCH_MAX: usize = 32;
 
 /// One cell's completion slot, shared by every request waiting on it.
 #[derive(Debug, Default)]
@@ -143,19 +146,16 @@ pub struct BatchQueue {
     ready: Condvar,
     /// Most cells allowed in `pending` at once.
     cap: usize,
-    /// Most cells a worker drains per dispatch.
-    batch_max: usize,
 }
 
 impl BatchQueue {
     /// A queue admitting at most `cap` pending cells and dispatching at
-    /// most `batch_max` (clamped to ≥ 1) per batch.
-    pub fn new(cap: usize, batch_max: usize) -> Self {
+    /// most [`BATCH_MAX`] per batch.
+    pub fn new(cap: usize) -> Self {
         BatchQueue {
             inner: Mutex::default(),
             ready: Condvar::new(),
             cap,
-            batch_max: batch_max.max(1),
         }
     }
 
@@ -286,14 +286,14 @@ impl BatchQueue {
         })
     }
 
-    /// Blocks until work is queued (returning up to `batch_max` cells) or
+    /// Blocks until work is queued (returning up to [`BATCH_MAX`] cells) or
     /// the queue is closed *and* drained (returning `None`). Dispatch
     /// workers loop on this.
     pub fn next_batch(&self) -> Option<Vec<QueuedCell>> {
         let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
         loop {
             if !inner.pending.is_empty() {
-                let take = self.batch_max.min(inner.pending.len());
+                let take = BATCH_MAX.min(inner.pending.len());
                 return Some(inner.pending.drain(..take).collect());
             }
             if inner.closed {
@@ -384,7 +384,7 @@ mod tests {
 
     #[test]
     fn identical_cells_share_one_slot() {
-        let queue = BatchQueue::new(8, 4);
+        let queue = BatchQueue::new(8);
         let a = queue
             .submit(&[cell(4), cell(4), cell(6)])
             .expect("admitted");
@@ -399,7 +399,7 @@ mod tests {
 
     #[test]
     fn admission_is_atomic_and_bounded() {
-        let queue = BatchQueue::new(2, 4);
+        let queue = BatchQueue::new(2);
         queue.submit(&[cell(2), cell(3)]).expect("fills the queue");
         // One coalescing cell + one fresh cell: the fresh one does not fit.
         let shed = queue.submit(&[cell(2), cell(9)]).expect_err("over cap");
@@ -412,24 +412,23 @@ mod tests {
 
     #[test]
     fn batches_drain_in_order_and_fill_waiters() {
-        let queue = BatchQueue::new(16, 2);
-        let a = queue
-            .submit(&[cell(2), cell(3), cell(4)])
-            .expect("admitted");
+        let queue = BatchQueue::new(64);
+        let cells: Vec<CellSpec> = (0..=BATCH_MAX as u32).map(|i| cell(2 + i)).collect();
+        let a = queue.submit(&cells).expect("admitted");
         let batch = queue.next_batch().expect("work available");
-        assert_eq!(batch.len(), 2, "batch_max bounds the drain");
+        assert_eq!(batch.len(), BATCH_MAX, "BATCH_MAX bounds the drain");
         assert_eq!(batch[0].spec.depth, 2);
         let results = batch.iter().map(|c| Ok(outcome(c.spec.depth))).collect();
         queue.finish(batch, results);
         assert_eq!(a.slots[0].wait().expect("filled").depth, 2);
         assert!(a.slots[0].is_done());
-        assert!(!a.slots[2].is_done(), "third cell still pending");
+        assert!(!a.slots[BATCH_MAX].is_done(), "last cell still pending");
         assert_eq!(queue.depth(), 1);
     }
 
     #[test]
     fn wait_for_times_out_then_sees_late_results() {
-        let queue = BatchQueue::new(4, 4);
+        let queue = BatchQueue::new(4);
         let a = queue.submit(&[cell(5)]).expect("admitted");
         assert_eq!(a.slots[0].wait_for(Duration::from_millis(5)), None);
         let batch = queue.next_batch().expect("work");
@@ -442,7 +441,7 @@ mod tests {
 
     #[test]
     fn close_drains_then_stops_admitting() {
-        let queue = Arc::new(BatchQueue::new(8, 8));
+        let queue = Arc::new(BatchQueue::new(8));
         let a = queue.submit(&[cell(2)]).expect("admitted");
         queue.close();
         assert_eq!(
@@ -459,7 +458,7 @@ mod tests {
 
     #[test]
     fn probe_hits_answer_without_enqueuing() {
-        let queue = BatchQueue::new(4, 4);
+        let queue = BatchQueue::new(4);
         let a = queue
             .submit_with(&[cell(3), cell(4)], |spec| {
                 (spec.depth == 3).then(|| outcome(3))
@@ -478,7 +477,7 @@ mod tests {
 
     #[test]
     fn concurrent_submitters_coalesce_to_one_dispatch() {
-        let queue = Arc::new(BatchQueue::new(64, 64));
+        let queue = Arc::new(BatchQueue::new(64));
         let slots: Vec<Arc<Slot>> = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..8)
                 .map(|_| {

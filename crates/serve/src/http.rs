@@ -130,25 +130,47 @@ pub fn read_request(stream: &mut TcpStream) -> Result<Request, HttpError> {
     }))
 }
 
-/// A socket reader whose reads share one deadline, `budget` after
-/// `started`: before each read from the socket, the read timeout is set to
-/// the time left, and once none is left the read fails as timed out. A
-/// client that trickles its bytes fails as one that stalls does.
+/// A socket whose reads, or writes, share one deadline, `budget` after
+/// `started`: before each read from the socket the read timeout, and
+/// before each write the write timeout, is set to the time left, and once
+/// none is left the call fails as timed out. A client that trickles its
+/// bytes fails as one that stalls does, and so does one that reads its
+/// answer slowly or never.
 struct Deadline<'a> {
     stream: &'a mut TcpStream,
     started: Stopwatch,
     budget: Duration,
 }
 
-impl Read for Deadline<'_> {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+impl Deadline<'_> {
+    /// The time left before the deadline; `TimedOut` once none is.
+    fn left(&self) -> io::Result<Duration> {
         let elapsed = Duration::from_secs_f64(self.started.elapsed_us() / 1e6);
         let left = self.budget.saturating_sub(elapsed);
         if left.is_zero() {
             return Err(io::ErrorKind::TimedOut.into());
         }
+        Ok(left)
+    }
+}
+
+impl Read for Deadline<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        let left = self.left()?;
         self.stream.set_read_timeout(Some(left))?;
         self.stream.read(buf)
+    }
+}
+
+impl Write for Deadline<'_> {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        let left = self.left()?;
+        self.stream.set_write_timeout(Some(left))?;
+        self.stream.write(buf)
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        self.stream.flush()
     }
 }
 
@@ -274,9 +296,16 @@ fn reason(status: u16) -> &'static str {
     }
 }
 
-/// Writes one complete response, head and body in a single write, and
-/// flags the connection for closing. Write failures are swallowed: the
-/// client hung up, and the server has nothing better to do with the error.
+/// How long the server spends writing one response, counted from the call
+/// to [`respond`]. Bounds how long a client that reads slowly, or never,
+/// holds a connection handler, and how long shutdown can wait on one.
+const WRITE_TIMEOUT: Duration = Duration::from_secs(5);
+
+/// Writes one complete response, head and body in a single write, within
+/// `WRITE_TIMEOUT` (5 s), and flags the connection for closing. Write
+/// failures, a missed deadline included, are swallowed: the client hung
+/// up or stopped reading, and the server has nothing better to do with
+/// the error than to close the connection.
 pub fn respond(
     stream: &mut TcpStream,
     status: u16,
@@ -296,8 +325,13 @@ pub fn respond(
     }
     response.push_str("\r\n");
     response.push_str(body);
-    let _ = stream.write_all(response.as_bytes());
-    let _ = stream.flush();
+    let mut writer = Deadline {
+        stream,
+        started: Stopwatch::start(),
+        budget: WRITE_TIMEOUT,
+    };
+    let _ = writer.write_all(response.as_bytes());
+    let _ = writer.flush();
 }
 
 #[cfg(test)]
@@ -398,6 +432,38 @@ mod tests {
         assert!(
             took_ms < trickle_ms / 2.0,
             "read took {took_ms} ms of a {trickle_ms} ms trickle"
+        );
+    }
+
+    #[test]
+    fn a_write_to_a_peer_that_never_reads_fails_at_its_deadline() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("ephemeral port");
+        let addr = listener.local_addr().expect("bound");
+        // The peer keeps its socket open and never reads, so loopback's
+        // buffers fill long before 16 MB are through.
+        let peer = TcpStream::connect(addr).expect("connect");
+        let (mut conn, _) = listener.accept().expect("accept");
+        let body = vec![b'x'; 16 << 20];
+        let started = Stopwatch::start();
+        let written = Deadline {
+            stream: &mut conn,
+            started,
+            budget: Duration::from_millis(200),
+        }
+        .write_all(&body);
+        let took_ms = started.elapsed_us() / 1e3;
+        drop(peer);
+        let err = written.expect_err("the deadline passes mid-write");
+        assert!(
+            matches!(
+                err.kind(),
+                io::ErrorKind::TimedOut | io::ErrorKind::WouldBlock
+            ),
+            "{err}"
+        );
+        assert!(
+            took_ms < 1_000.0,
+            "write took {took_ms} ms of a 200 ms budget"
         );
     }
 

@@ -1,5 +1,7 @@
 //! `pipedepth-serve`: a batched, backpressured evaluation service over
-//! the `pipedepth` [`Evaluator`](pipedepth_core::eval::Evaluator) layer.
+//! the `pipedepth` evaluation layer: the closed-form
+//! [`AnalyticModel`](pipedepth_core::eval::AnalyticModel) and the
+//! simulation backend [`SimBackend`](pipedepth_experiments::eval::SimBackend).
 //!
 //! The workspace's experiment drivers answer depth-evaluation questions
 //! in-process. This crate puts the same evaluation layer behind a small

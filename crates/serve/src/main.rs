@@ -5,7 +5,7 @@
 //! ```text
 //! cargo run --release -p pipedepth-serve -- \
 //!     [--port N] [--addr HOST] [--threads N] [--workers N] \
-//!     [--queue-cap N] [--batch-max N] [--deadline-ms N] \
+//!     [--queue-cap N] [--deadline-ms N] \
 //!     [--backend sim|model|auto] [--store DIR] [--full]
 //! ```
 //!
@@ -27,7 +27,7 @@ struct Options {
 fn usage() -> ! {
     eprintln!(
         "usage: pipedepth-serve [--port N] [--addr HOST] [--threads N] [--workers N]\n\
-         \u{20}                      [--queue-cap N] [--batch-max N] [--deadline-ms N]\n\
+         \u{20}                      [--queue-cap N] [--deadline-ms N]\n\
          \u{20}                      [--backend sim|model|auto] [--store DIR] [--full]\n\
          \n\
          \u{20} --port N           listen port (default 8471; 0 picks an ephemeral port)\n\
@@ -35,7 +35,6 @@ fn usage() -> ! {
          \u{20} --threads N        simulation worker threads (default 2)\n\
          \u{20} --workers N        dispatch workers draining the batch queue (default 1)\n\
          \u{20} --queue-cap N      cells admitted before shedding 429s (default 1024)\n\
-         \u{20} --batch-max N      cells per backend dispatch (default 32)\n\
          \u{20} --deadline-ms N    default per-request deadline; 0 = none (default 0)\n\
          \u{20} --backend B        pin every request to one backend (default: per-request)\n\
          \u{20} --store DIR        persistent store (the one repro --store writes):\n\
@@ -88,11 +87,6 @@ fn parse_args() -> Options {
             "--queue-cap" => {
                 opts.config.queue_cap =
                     parse(value(&args, i, "--queue-cap"), "--queue-cap") as usize;
-                i += 1;
-            }
-            "--batch-max" => {
-                opts.config.batch_max =
-                    parse(value(&args, i, "--batch-max"), "--batch-max") as usize;
                 i += 1;
             }
             "--deadline-ms" => {

@@ -14,9 +14,9 @@
 //! serves. At most [`MAX_HANDLERS`](crate::server::MAX_HANDLERS)
 //! connections are in service at once; a handler that takes one beyond
 //! that answers it 503. A connection stays in service until its response
-//! is written, and a handler that takes the last free thread's place
-//! starts one more, so one thread is always accepting, even while slow
-//! readers hold handlers in their writes. Handlers are reused, so a
+//! is written or its 5 s write deadline passes, and a handler that takes
+//! the last free thread's place starts one more, so one thread is always
+//! accepting, even while slow readers hold handlers in their writes. Handlers are reused, so a
 //! request costs no thread spawn; the cap only keeps idle or slow clients
 //! from holding unbounded threads. The service's ceiling on work is still
 //! the batch queue.
@@ -184,9 +184,9 @@ impl<'a> Pool<'a> {
     /// Serves one connection in the slot its claim took, and frees the
     /// slot once the response is written but before the connection
     /// closes, so a client that reconnects on EOF finds a handler free. A
-    /// handler blocked writing to a slow reader keeps its slot, so the
-    /// claims of later connections see it busy and keep a thread
-    /// accepting. A panic while serving also frees the slot and drops the
+    /// handler blocked writing to a slow reader keeps its slot until the
+    /// write deadline of [`respond`] passes, so the claims of later
+    /// connections see it busy and keep a thread accepting. A panic while serving also frees the slot and drops the
     /// connection; the thread stays in the pool.
     fn serve(&self, mut stream: TcpStream, handle: impl FnOnce(&mut TcpStream)) {
         let _ = panic::catch_unwind(AssertUnwindSafe(|| handle(&mut stream)));

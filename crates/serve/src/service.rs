@@ -34,7 +34,7 @@ use crate::batch::{BatchQueue, Shed};
 use crate::wire::v1::{
     CellResult, EvaluateRequest, EvaluateResponse, OptimumResponse, WireBackend,
 };
-use pipedepth_core::eval::{AnalyticModel, CellSpec, EvalOutcome, Evaluator, ShardedCache};
+use pipedepth_core::eval::{AnalyticModel, CellSpec, EvalOutcome, ShardedCache};
 use pipedepth_core::EvalError;
 use pipedepth_experiments::eval::{cell_for, fitted_profile, SimBackend};
 use pipedepth_experiments::runner::Runner;
@@ -65,8 +65,6 @@ pub struct ServiceConfig {
     pub workers: usize,
     /// Most cells the queue admits before shedding (429).
     pub queue_cap: usize,
-    /// Most cells one dispatch sends to the backend at once.
-    pub batch_max: usize,
     /// Default per-request deadline in milliseconds; 0 means none.
     pub deadline_ms: u64,
     /// When set, pins every request to this backend regardless of what
@@ -88,7 +86,6 @@ impl Default for ServiceConfig {
             threads: 2,
             workers: 1,
             queue_cap: 1024,
-            batch_max: 32,
             deadline_ms: 0,
             backend: None,
             store: None,
@@ -158,7 +155,7 @@ impl EvalService {
             sim: SimBackend::new(Arc::new(runner)),
             model: AnalyticModel::paper(),
             memo: ShardedCache::new(),
-            queue: BatchQueue::new(config.queue_cap, config.batch_max),
+            queue: BatchQueue::new(config.queue_cap),
             telemetry,
             by_name: workloads
                 .iter()
@@ -406,13 +403,12 @@ impl EvalService {
             .get(workload)
             .ok_or_else(|| EvalError::invalid(format!("unknown workload \"{workload}\"")))?;
         let profile = fitted_profile(w);
-        let cells: Vec<CellSpec> = OPTIMUM_DEPTHS
-            .map(|depth| cell_for(w, profile, depth, &self.run))
-            .collect();
         let mut best: Option<(u32, f64, f64)> = None;
         let mut best_perf: Option<(u32, f64)> = None;
-        for result in self.model.evaluate_batch(&cells) {
-            let out = result?;
+        for depth in OPTIMUM_DEPTHS {
+            let out = self
+                .model
+                .evaluate(&cell_for(w, profile, depth, &self.run))?;
             let metric = out.metric_gated[(m - 1) as usize];
             if best.is_none_or(|(_, m0, _)| metric > m0) {
                 best = Some((out.depth, metric, out.throughput));
@@ -437,7 +433,7 @@ impl EvalService {
     }
 
     /// The dispatch-worker body: drains batches from the queue into
-    /// single [`Evaluator::evaluate_batch`] calls until the queue closes
+    /// single [`SimBackend::evaluate_batch`] calls until the queue closes
     /// and empties. The runner behind the simulation backend groups each
     /// batch's depth mates into one annotate + replay pass, so a coalesced
     /// sweep costs one annotation. The server runs this on `workers`

@@ -16,9 +16,9 @@ use pipedepth_serve::Server;
 use pipedepth_telemetry::Telemetry;
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream};
-use std::sync::{PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::{mpsc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::thread;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Every test takes this shared, except the one that counts the process's
 /// threads, which takes it alone: no other test's threads start while it
@@ -389,22 +389,25 @@ fn model_request(cells: usize) -> String {
     )
 }
 
+/// Sends a 14,000-cell `model` request (a 9 MB answer, more than
+/// loopback's socket buffers hold) and waits until the answer starts, so
+/// the handler is blocked in its write. The client never reads.
+fn stall(addr: SocketAddr) -> TcpStream {
+    let mut client = TcpStream::connect(addr).expect("connect");
+    client
+        .write_all(model_request(14_000).as_bytes())
+        .expect("send");
+    client.peek(&mut [0u8; 1]).expect("response starts");
+    client
+}
+
 #[test]
 fn clients_that_never_read_block_no_one() {
     let _threads = shared();
     let (addr, handle) = start(quick());
-    // Two clients ask for about 9 MB each and never read it: more than
-    // loopback's socket buffers hold, so each handler blocks in its write.
-    let raw = model_request(14_000);
-    let stalled: Vec<TcpStream> = (0..2)
-        .map(|_| {
-            let mut client = TcpStream::connect(addr).expect("connect");
-            client.write_all(raw.as_bytes()).expect("send");
-            // The first bytes have arrived: the handler is writing.
-            client.peek(&mut [0u8; 1]).expect("response starts");
-            client
-        })
-        .collect();
+    // Two clients ask for about 9 MB each and never read it, so each
+    // handler blocks in its write.
+    let stalled = [stall(addr), stall(addr)];
     // A handler blocked in its write still counts as serving, so the
     // claims of the two stalled connections kept a thread accepting.
     let mut probe = TcpStream::connect(addr).expect("connect");
@@ -421,11 +424,43 @@ fn clients_that_never_read_block_no_one() {
     assert_eq!(split_response(&response).0, 200, "{response}");
     let (status, _, _) = request(addr, "POST", "/v1/shutdown", "");
     assert_eq!(status, 200, "shutdown acknowledged");
-    // The blocked writes end when their clients hang up; then the pool
-    // drains.
+    // The blocked writes end when their clients hang up, or at the write
+    // deadline; then the pool drains.
     drop(stalled);
     let stats = handle.join().expect("server thread exits");
     assert!(stats.starts_with("serve: "), "stats line: {stats}");
+}
+
+#[test]
+fn clients_that_never_read_are_dropped_at_the_write_deadline() {
+    let _threads = shared();
+    let (addr, handle) = start(quick());
+    let stalled = [stall(addr), stall(addr)];
+    // The shutdown's answer and the server's return are awaited on
+    // channels, so a server that never returns fails the test instead of
+    // hanging it.
+    let budget = Duration::from_secs(15);
+    let started = Instant::now();
+    let (answered, shutdown) = mpsc::channel();
+    let requester = thread::spawn(move || {
+        let _ = answered.send(request(addr, "POST", "/v1/shutdown", "").0);
+    });
+    let (joined, server) = mpsc::channel();
+    let joiner = thread::spawn(move || {
+        let _ = joined.send(handle.join());
+    });
+    let status = shutdown.recv_timeout(budget);
+    let returned = server.recv_timeout(budget.saturating_sub(started.elapsed()));
+    // Both clients still hold their sockets: each handler must have given
+    // up on its write at the deadline and freed its slot.
+    drop(stalled);
+    assert_eq!(status, Ok(200), "shutdown answered within {budget:?}");
+    let stats = returned
+        .expect("the server returns while its clients hold their sockets")
+        .expect("server thread exits");
+    assert!(stats.starts_with("serve: "), "stats line: {stats}");
+    requester.join().expect("shutdown client");
+    joiner.join().expect("server joiner");
 }
 
 #[test]

@@ -8,9 +8,8 @@
 //! ```
 
 use pipedepth::experiments::figures::fig8;
-use pipedepth::experiments::sweep::sweep_workload;
 use pipedepth::workloads::{suite_class, WorkloadClass};
-use pipedepth::RunConfig;
+use pipedepth::{RunConfig, Runner};
 
 fn main() {
     let config = RunConfig {
@@ -24,7 +23,7 @@ fn main() {
         .next()
         .expect("SPECint class populated");
     println!("extracting theory parameters from {} …", workload.name);
-    let curve = sweep_workload(&workload, &config);
+    let curve = Runner::serial().sweep_workload(&workload, &config);
     let x = &curve.extracted;
     println!(
         "  α = {:.2}, γ = {:.2}, N_H/N_I = {:.3}, κ = {:.3}\n",

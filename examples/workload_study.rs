@@ -6,9 +6,8 @@
 //! cargo run --release --example workload_study
 //! ```
 
-use pipedepth::experiments::sweep::sweep_all;
 use pipedepth::math::fit::cubic_peak_fit;
-use pipedepth::{representatives, RunConfig};
+use pipedepth::{representatives, RunConfig, Runner};
 
 fn main() {
     let config = RunConfig {
@@ -22,7 +21,7 @@ fn main() {
         "sweeping {} representative workloads over depths 2–25 …\n",
         reps.len()
     );
-    let curves = sweep_all(&reps, &config);
+    let curves = Runner::default().sweep_all(&reps, &config);
 
     println!(
         "{:<12} {:<20} {:>10} {:>10} {:>12} {:>12}",

@@ -2,10 +2,19 @@
 //! power-budget designs, crossover exponents and the gating-degree sweep,
 //! all driven from simulator-extracted parameters.
 
-use pipedepth::experiments::sweep::{sweep_workload, RunConfig};
+use pipedepth::experiments::sweep::{RunConfig, WorkloadCurve};
 use pipedepth::experiments::theory_model;
 use pipedepth::model::{crossover_exponent, power_capped_design, BudgetedDesign, MetricExponent};
 use pipedepth::workloads::{suite_class, WorkloadClass};
+use pipedepth::Runner;
+use std::sync::OnceLock;
+
+/// The runner every test here sweeps on, so tests reuse each other's
+/// cells.
+fn runner() -> &'static Runner {
+    static RUNNER: OnceLock<Runner> = OnceLock::new();
+    RUNNER.get_or_init(Runner::default)
+}
 
 fn quick() -> RunConfig {
     RunConfig {
@@ -16,12 +25,15 @@ fn quick() -> RunConfig {
     }
 }
 
+/// The quick sweep of a class's first workload: the one each figure
+/// displays.
+fn first_curve(class: WorkloadClass) -> WorkloadCurve {
+    let w = suite_class(class).into_iter().next().unwrap();
+    runner().sweep_workload(&w, &quick())
+}
+
 fn extracted_model(gated: bool) -> pipedepth::model::PipelineModel {
-    let w = suite_class(WorkloadClass::SpecInt)
-        .into_iter()
-        .next()
-        .unwrap();
-    let curve = sweep_workload(&w, &quick());
+    let curve = first_curve(WorkloadClass::SpecInt);
     theory_model(&curve.extracted, gated, 0.15, 10.0, 1.3)
 }
 
@@ -83,7 +95,8 @@ fn crossover_brackets_the_usual_metrics() {
 #[test]
 fn gating_degree_interpolates_between_endpoints() {
     use pipedepth::experiments::figures::ext_gating;
-    let fig = ext_gating::run(&quick());
+    let curve = first_curve(WorkloadClass::Modern);
+    let fig = ext_gating::run(runner(), &curve.workload, &curve.extracted, &quick());
     // Ungated endpoint (f_cg = 1) is the shallowest; complete gating at
     // least as deep as any partial point.
     let ungated = fig.sim_optima[0];

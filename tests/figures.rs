@@ -3,8 +3,25 @@
 //! paper's qualitative findings.
 
 use pipedepth::experiments::figures::{fig1, fig3, fig4, fig5, fig6, fig7, fig8, fig9, headline};
-use pipedepth::experiments::sweep::{sweep_all, RunConfig};
-use pipedepth::workloads::{suite_class, WorkloadClass};
+use pipedepth::experiments::sweep::{RunConfig, WorkloadCurve};
+use pipedepth::workloads::{suite_class, Workload, WorkloadClass};
+use pipedepth::Runner;
+use std::sync::OnceLock;
+
+/// The runner every test here sweeps on, so tests reuse each other's
+/// cells.
+fn runner() -> &'static Runner {
+    static RUNNER: OnceLock<Runner> = OnceLock::new();
+    RUNNER.get_or_init(Runner::default)
+}
+
+/// The first suite workload of a class: the one each figure displays.
+fn first_of(class: WorkloadClass) -> Workload {
+    suite_class(class)
+        .into_iter()
+        .next()
+        .expect("every class is populated")
+}
 
 fn quick_config() -> RunConfig {
     RunConfig {
@@ -16,13 +33,13 @@ fn quick_config() -> RunConfig {
 }
 
 /// Three workloads per class: enough for distribution shape at test cost.
-fn small_suite_curves() -> Vec<pipedepth::experiments::WorkloadCurve> {
+fn small_suite_curves() -> Vec<WorkloadCurve> {
     let cfg = quick_config();
     let ws: Vec<_> = WorkloadClass::ALL
         .iter()
         .flat_map(|&c| suite_class(c).into_iter().take(3))
         .collect();
-    sweep_all(&ws, &cfg)
+    runner().sweep_all(&ws, &cfg)
 }
 
 #[test]
@@ -47,7 +64,13 @@ fn fig3_reproduces_latch_exponent() {
 
 #[test]
 fn fig4_gated_above_ungated_and_theory_fits() {
-    let f = fig4::run(&quick_config());
+    let cfg = quick_config();
+    let f = fig4::Fig4 {
+        panels: fig4::PANEL_CLASSES
+            .iter()
+            .map(|&c| fig4::panel_from_curve(&runner().sweep_workload(&first_of(c), &cfg), &cfg))
+            .collect(),
+    };
     assert_eq!(f.panels.len(), 3);
     for p in &f.panels {
         for (g, u) in p.sim_gated.iter().zip(&p.sim_ungated) {
@@ -61,7 +84,8 @@ fn fig4_gated_above_ungated_and_theory_fits() {
 
 #[test]
 fn fig5_metric_ordering() {
-    let f = fig5::run(&quick_config());
+    let modern = first_of(WorkloadClass::Modern);
+    let f = fig5::from_curve(&runner().sweep_workload(&modern, &quick_config()));
     let p = |label: &str| f.series_named(label).unwrap().peak_depth;
     assert!(p("BIPS/W") <= p("BIPS^2/W"));
     assert!(p("BIPS^2/W") <= p("BIPS^3/W"));
@@ -97,11 +121,7 @@ fn fig7_class_contrasts() {
 #[test]
 fn fig8_and_fig9_trends() {
     let cfg = quick_config();
-    let w = suite_class(WorkloadClass::SpecInt)
-        .into_iter()
-        .next()
-        .unwrap();
-    let curve = pipedepth::experiments::sweep_workload(&w, &cfg);
+    let curve = runner().sweep_workload(&first_of(WorkloadClass::SpecInt), &cfg);
 
     let f8 = fig8::run_with_params(&curve.extracted, &cfg);
     let depths8: Vec<f64> = f8.optima.iter().map(|o| o.unwrap_or(1.0)).collect();

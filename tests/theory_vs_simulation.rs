@@ -2,11 +2,20 @@
 //! end to end — trace generation → cycle-accurate simulation → power
 //! accounting → parameter extraction → analytic theory.
 
-use pipedepth::experiments::sweep::{sweep_workload, RunConfig};
+use pipedepth::experiments::sweep::{RunConfig, WorkloadCurve};
 use pipedepth::experiments::theory_model;
 use pipedepth::math::fit::cubic_peak_fit;
 use pipedepth::model::{numeric_optimum, MetricExponent};
-use pipedepth::workloads::{representatives, suite_class, WorkloadClass};
+use pipedepth::workloads::{representatives, suite_class, Workload, WorkloadClass};
+use pipedepth::Runner;
+use std::sync::OnceLock;
+
+/// Sweeps on the runner every test here shares, so tests reuse each
+/// other's cells.
+fn sweep_workload(w: &Workload, cfg: &RunConfig) -> WorkloadCurve {
+    static RUNNER: OnceLock<Runner> = OnceLock::new();
+    RUNNER.get_or_init(Runner::default).sweep_workload(w, cfg)
+}
 
 fn quick_config() -> RunConfig {
     RunConfig {
@@ -138,9 +147,11 @@ fn alpha_reflects_class_ilp() {
 #[test]
 fn same_trace_same_results_across_crates() {
     // End-to-end determinism: the whole pipeline of crates is reproducible.
+    // Two fresh runners: the second sweep must simulate again, not hit a
+    // cache.
     let cfg = quick_config();
     let w = &representatives()[0];
-    let a = sweep_workload(w, &cfg);
-    let b = sweep_workload(w, &cfg);
+    let a = Runner::serial().sweep_workload(w, &cfg);
+    let b = Runner::serial().sweep_workload(w, &cfg);
     assert_eq!(a, b);
 }
